@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__, fock, gaussian, spinmotion
 from .drive import DriveParams, simulate_full_vs_rwa
-from .errors import ConfigError
+from .errors import ConfigError, SqueezeAmpError
 from .fitting import (
     FitResult,
     RabiTrace,
@@ -276,6 +276,7 @@ def run_gain_curve(cfg):
     """Gain G = alpha_f / alpha_i versus squeezing parameter r = g t."""
     alpha_i = cfg["alpha_i"]
     rows = []
+    failures = []
     for idx, r in enumerate(cfg["squeeze_r_list"]):
         alpha_f_ideal = abs(gaussian.amplify_displacement(alpha_i, gaussian.SqueezeParam(r)))
         if cfg.noiseless:
@@ -307,15 +308,18 @@ def run_gain_curve(cfg):
                 alpha_f_fit=alpha_fit, alpha_f_err=alpha_err,
                 gain=alpha_fit / alpha_i, gain_err=alpha_err / alpha_i, fit_ok=1,
             )
-        except Exception:
+        except SqueezeAmpError as exc:
             row.update(alpha_f_fit=float("nan"), alpha_f_err=float("nan"),
                        gain=float("nan"), gain_err=float("nan"), fit_ok=0)
+            failures.append({"r_ideal": r, "error": f"{type(exc).__name__}: {exc}"})
         rows.append(row)
     rows.sort(key=lambda r: r["r_ideal"])
     columns = ("t_us", "r_ideal", "alpha_f_ideal", "alpha_f_fit", "alpha_f_err",
                "gain", "gain_err", "fit_ok")
-    return SweepResult("gain_curve", columns, tuple(rows), cfg,
-                       {"alpha_i": alpha_i, "noiseless": cfg.noiseless})
+    summary = {"alpha_i": alpha_i, "noiseless": cfg.noiseless}
+    if failures:
+        summary["fit_failures"] = sorted(failures, key=lambda f: f["r_ideal"])
+    return SweepResult("gain_curve", columns, tuple(rows), cfg, summary)
 
 
 def run_phase_scan(cfg, r=0.0):
@@ -535,9 +539,7 @@ def run_rwa_check(cfg):
             omega_r=cfg.omega_r, omega_p=2 * cfg.omega_r, g=g, duration=gt / g
         )
         spp = max(64, int(math.ceil(2560 * ratio)))
-        fid, r_eff = simulate_full_vs_rwa(
-            params, fock.FockSpace(64), steps_per_period=spp
-        )
+        fid, r_eff = simulate_full_vs_rwa(params, steps_per_period=spp)
         rows.append({
             "g_over_omega_r": ratio, "gt": gt, "fidelity": fid,
             "r_effective": r_eff, "steps_per_period": spp,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from squeezeamp import FockSpace, SqueezeParam, fidelity, squeezed_vacuum, vacuum
+from squeezeamp import fock
 from squeezeamp.drive import (
     DriveParams,
     evolve_rwa,
@@ -20,6 +21,30 @@ G = 2 * math.pi * 50.2e3  # paper's parametric coupling strength
 
 def resonant(g=G, theta=0.0, duration=0.0):
     return DriveParams(omega_r=WR, omega_p=2 * WR, g=g, theta=theta, duration=duration)
+
+
+def _integrate_lab(p, space, n_steps, t_final):
+    """Fock-space oracle: piecewise-constant (midpoint-sampled) unitary
+    integration of H_lab from |0>, returned in the interaction picture."""
+    dt = t_final / n_steps
+    psi = vacuum(space).amps
+    for k in range(n_steps):
+        H = hamiltonian_lab(p, (k + 0.5) * dt, space)
+        psi = fock.hermitian_propagator(H, dt) @ psi
+    phases = np.exp(1j * p.omega_r * (np.arange(space.dim) + 0.5) * t_final)
+    return phases * psi
+
+
+def _fock_oracle(p, steps_per_period, space):
+    """Oracle state on the same fine grid simulate_full_vs_rwa accepts."""
+    period = 2 * math.pi / p.omega_p
+    n_steps = max(int(math.ceil(p.duration / period * steps_per_period)), 16)
+    return _integrate_lab(p, space, 2 * n_steps, p.duration)
+
+
+def _asinh_sqrt_n(psi):
+    n_mean = float(np.sum(np.arange(len(psi)) * np.abs(psi) ** 2))
+    return math.asinh(math.sqrt(n_mean))
 
 
 class TestLabHamiltonian:
@@ -71,14 +96,14 @@ class TestRwaHamiltonian:
 class TestFullVsRwa:
     def test_g_zero_stays_in_ground_state(self):
         p = DriveParams(omega_r=WR, omega_p=2 * WR, g=0.0, duration=2e-6)
-        fid, r_eff = simulate_full_vs_rwa(p, FockSpace(32), steps_per_period=64)
+        fid, r_eff = simulate_full_vs_rwa(p, steps_per_period=64)
         assert fid == pytest.approx(1.0, abs=1e-9)
         assert r_eff < 1e-3
 
     def test_paper_ratio_high_fidelity(self):
         g = 0.008 * WR
         p = resonant(g=g, duration=0.63 / g)
-        fid, r_eff = simulate_full_vs_rwa(p, FockSpace(64), steps_per_period=64)
+        fid, r_eff = simulate_full_vs_rwa(p, steps_per_period=64)
         assert fid > 0.99
         assert r_eff == pytest.approx(0.63, abs=0.01)
 
@@ -88,7 +113,7 @@ class TestFullVsRwa:
         for ratio, spp in ((0.008, 64), (0.2, 512)):
             g = ratio * WR
             p = resonant(g=g, duration=0.63 / g)
-            fid, _ = simulate_full_vs_rwa(p, FockSpace(64), steps_per_period=spp)
+            fid, _ = simulate_full_vs_rwa(p, steps_per_period=spp)
             fids.append(fid)
         assert fids[1] < fids[0]
 
@@ -96,7 +121,7 @@ class TestFullVsRwa:
         g = 0.2 * WR
         p = resonant(g=g, duration=0.63 / g)
         with pytest.raises(ConvergenceError):
-            simulate_full_vs_rwa(p, FockSpace(64), steps_per_period=16)
+            simulate_full_vs_rwa(p, steps_per_period=16)
 
     def test_r_linear_in_duration(self):
         # module-level counterpart of the linear r(t) calibration fit
@@ -104,12 +129,34 @@ class TestFullVsRwa:
         rs = []
         for gt in (0.2, 0.4, 0.6):
             p = resonant(g=g, duration=gt / g)
-            _, r_eff = simulate_full_vs_rwa(p, FockSpace(64), steps_per_period=64)
+            _, r_eff = simulate_full_vs_rwa(p, steps_per_period=64)
             rs.append(r_eff)
         slope1 = (rs[1] - rs[0]) / 0.2
         slope2 = (rs[2] - rs[1]) / 0.2
         assert slope1 == pytest.approx(1.0, abs=0.02)
         assert slope2 == pytest.approx(1.0, abs=0.02)
+
+    # above g/w_r = 1/4 the frozen step map turns hyperbolic near drive peaks
+    @pytest.mark.parametrize("ratio, theta, spp", [(0.05, 0.7, 128), (0.35, 2.9, 512)])
+    def test_matches_fock_oracle(self, ratio, theta, spp):
+        g = ratio * WR
+        p = resonant(g=g, theta=theta, duration=0.3 / g)
+        sp = FockSpace(64)
+        psi = _fock_oracle(p, spp, sp)
+        target = squeezed_vacuum(SqueezeParam(0.3, theta), sp, check_tail=False)
+        fid, r_eff = simulate_full_vs_rwa(p, steps_per_period=spp)
+        assert abs(fid - fidelity(psi, target.amps)) <= 1e-9
+        assert abs(r_eff - _asinh_sqrt_n(psi)) <= 1e-6
+
+    def test_r_effective_at_former_optimiser_failure(self):
+        # a ratio where a best-fit search for r stalled at 0.0145
+        ratio, gt = 0.12888667873835197, 0.025
+        g = ratio * WR
+        p = resonant(g=g, duration=gt / g)
+        spp = max(64, int(math.ceil(2560 * ratio)))
+        _, r_eff = simulate_full_vs_rwa(p, steps_per_period=spp)
+        psi = _fock_oracle(p, spp, FockSpace(64))
+        assert abs(r_eff - _asinh_sqrt_n(psi)) <= 1e-6
 
 
 class TestSqueezingRate:

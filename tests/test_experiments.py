@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from squeezeamp.errors import ConfigError
+from squeezeamp import experiments
+from squeezeamp.errors import ConfigError, ConvergenceError
 from squeezeamp.experiments import (
     ExperimentConfig,
     run_contrast_vs_alpha,
@@ -87,6 +88,24 @@ class TestGainCurve:
         cfg = noiseless(squeeze_r_list=(0.0,))
         res = run_gain_curve(cfg)
         assert res.rows[0]["gain"] == pytest.approx(1.0, abs=1e-6)
+
+    def test_failed_fit_records_reason(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ConvergenceError("no minimum")
+
+        monkeypatch.setattr(experiments, "fit_state_model", fail)
+        res = run_gain_curve(noiseless(squeeze_r_list=(1.0, 0.5)))
+        assert [row["fit_ok"] for row in res.rows] == [0, 0]
+        assert all(math.isnan(row["gain"]) for row in res.rows)
+        assert res.summary["fit_failures"] == [
+            {"r_ideal": 0.5, "error": "ConvergenceError: no minimum"},
+            {"r_ideal": 1.0, "error": "ConvergenceError: no minimum"},
+        ]
+
+    def test_successful_fits_add_no_failure_key(self):
+        res = run_gain_curve(noiseless(squeeze_r_list=(0.5,)))
+        assert "fit_failures" not in res.summary
+        assert "fit_failures" not in res.to_json()
 
 
 class TestPhaseScan:
