@@ -3,7 +3,10 @@ parameterized state fits, fringe fits, and projection-noise statistics.
 
 All weighted fits use binomial shot-noise weights sigma^2 = P(1-P)/shots and
 report stderr as the square root of the diagonal of (J^T W J)^{-1} at the
-optimum.
+optimum.  The one exception is a state-model fit whose weighted Jacobian is
+rank-deficient at the optimum: its covariance is the inverse of the full
+Hessian of the cost, and a direction without positive curvature gets an
+infinite variance.
 """
 
 from dataclasses import dataclass, field
@@ -14,8 +17,8 @@ import math
 import numpy as np
 import scipy.optimize
 
-from . import gaussian, spinmotion
-from .errors import ConvergenceError, DimensionMismatchError
+from . import gaussian
+from .errors import ConvergenceError, DimensionMismatchError, SqueezeAmpError
 
 SCHEMA_VERSION = 1
 
@@ -141,10 +144,15 @@ def _binomial_sigma(p, shots):
     return np.sqrt(p * (1.0 - p) / shots)
 
 
+def _bsb_phasors(times, omega, gamma, nmax):
+    """E[t, n] = exp((-gamma + i omega) sqrt(n+1) t), and sqrt(n+1) t."""
+    root_t = np.sqrt(np.arange(nmax) + 1.0) * np.asarray(times)[:, None]
+    return np.exp(complex(-gamma, omega) * root_t), root_t
+
+
 def _design_matrix(times, omega, gamma, nmax):
-    root = np.sqrt(np.arange(nmax) + 1.0)
-    t = np.asarray(times)[:, None]
-    return 0.5 * np.exp(-gamma * root * t) * np.cos(omega * root * t)
+    """BSB design matrix Re(E)/2: P_down(t) - 1/2 = M @ populations."""
+    return 0.5 * _bsb_phasors(times, omega, gamma, nmax)[0].real
 
 
 def _kkt_polish(A, b, x, max_iters=200):
@@ -261,31 +269,93 @@ def _pinv_covariance(J, free=None):
     return cov
 
 
-def model_populations(model, params, nmax):
-    """Ideal Fock populations for the named state model."""
-    if model == "coherent":
-        (alpha,) = params
-        return gaussian.displaced_squeezed_populations(
-            gaussian.Displacement(abs(alpha)), gaussian.SqueezeParam(0.0), nmax
-        )
-    if model == "squeezed":
-        (r,) = params
-        return gaussian.displaced_squeezed_populations(
-            gaussian.Displacement(0.0), gaussian.SqueezeParam(abs(r)), nmax
-        )
-    if model == "displaced_squeezed":
-        alpha, r, theta = params
-        return gaussian.displaced_squeezed_populations(
-            gaussian.Displacement(abs(alpha)), gaussian.SqueezeParam(abs(r), theta), nmax
-        )
-    raise ValueError(f"unknown state model {model!r}")
-
-
 _MODEL_PARAMS = {
     "coherent": ("alpha",),
     "squeezed": ("r",),
     "displaced_squeezed": ("alpha", "r", "theta"),
 }
+
+
+def model_populations(model, params, nmax, jac=False):
+    """Ideal Fock populations for the named state model.
+
+    The sign-symmetric parameters enter through |alpha| and |r|.  With
+    jac=True, also returns dP/dparams as an (nmax, len(params)) array.
+    """
+    if model not in _MODEL_PARAMS:
+        raise ValueError(f"unknown state model {model!r}")
+    names = _MODEL_PARAMS[model]
+    if len(params) != len(names):
+        raise ValueError(f"{model} takes parameters {names}, got {len(params)} values")
+    vals = dict(zip(names, params))
+    alpha, r, theta = vals.get("alpha", 0.0), vals.get("r", 0.0), vals.get("theta", 0.0)
+    out = gaussian.displaced_squeezed_populations(
+        gaussian.Displacement(abs(alpha)), gaussian.SqueezeParam(abs(r), theta), nmax, jac=jac
+    )
+    if not jac:
+        return out
+    pops, dpops = out
+    cols = [("alpha", "r", "theta").index(n) for n in names]
+    signs = [1.0 if n == "theta" else np.sign(vals[n]) for n in names]
+    return pops, dpops[:, cols] * signs
+
+
+class TraceResiduals:
+    """Weighted residuals of a state model on a Rabi trace, with their Jacobian.
+
+    The model signal is 1/2 + M(omega, gamma) P(state), with M the design
+    matrix of `extract_populations` and P from `model_populations`.  With
+    E = exp((-gamma + i omega) sqrt(n+1) t), M = Re(E)/2 and the Jacobian is
+    analytic: d/domega = -(sqrt(n+1) t Im E) P/2, d/dgamma = -sign(gamma)
+    (sqrt(n+1) t Re E) P/2 and d/dstate = M dP/dstate.  One model evaluation
+    at x serves both the residual and the Jacobian there.
+
+    `names` orders the fitted parameters: the state's, then omega and gamma
+    unless frozen at their `init` values.
+    """
+
+    def __init__(self, trace, model, init, nmax, fit_omega=True, fit_gamma=True):
+        if model not in _MODEL_PARAMS:
+            raise ValueError(f"unknown state model {model!r}")
+        self.model = model
+        self.nmax = nmax
+        self.state_names = _MODEL_PARAMS[model]
+        self.names = self.state_names + ("omega",) * fit_omega + ("gamma",) * fit_gamma
+        missing = [n for n in self.state_names + ("omega", "gamma") if n not in init]
+        if missing:
+            raise ValueError(f"init missing parameters: {missing}")
+        self.init = init
+        self.x0 = np.array([init[n] for n in self.names], dtype=float)
+        self.times = trace.times
+        self.pdown = trace.pdown
+        self.sigma = _binomial_sigma(trace.pdown, trace.shots_per_point)
+        self._key = self._cached = None
+
+    def _evaluate(self, x):
+        key = np.asarray(x, dtype=float).tobytes()
+        if key != self._key:
+            vals = dict(zip(self.names, x))
+            omega = vals.get("omega", self.init["omega"])
+            gamma = vals.get("gamma", self.init["gamma"])
+            pops, dpops = model_populations(
+                self.model, [vals[n] for n in self.state_names], self.nmax, jac=True
+            )
+            E, root_t = _bsb_phasors(self.times, omega, abs(gamma), self.nmax)
+            self._key, self._cached = key, (pops, dpops, E, root_t, gamma)
+        return self._cached
+
+    def __call__(self, x):
+        pops, _, E, _, _ = self._evaluate(x)
+        return (0.5 + 0.5 * (E.real @ pops) - self.pdown) / self.sigma
+
+    def jac(self, x):
+        pops, dpops, E, root_t, gamma = self._evaluate(x)
+        cols = [0.5 * (E.real @ dpops)]
+        if "omega" in self.names:
+            cols.append(-0.5 * ((root_t * E.imag) @ pops)[:, None])
+        if "gamma" in self.names:
+            cols.append(-0.5 * np.sign(gamma) * ((root_t * E.real) @ pops)[:, None])
+        return np.hstack(cols) / self.sigma[:, None]
 
 
 def fit_state_model(trace, model, init, nmax=None, fit_omega=True, fit_gamma=True,
@@ -294,42 +364,21 @@ def fit_state_model(trace, model, init, nmax=None, fit_omega=True, fit_gamma=Tru
 
     `init` maps parameter names to starting values and must include the
     state parameters plus omega and gamma (shared nuisance parameters,
-    frozen unless fit_omega/fit_gamma).  Multi-start Levenberg-Marquardt;
-    the lowest-residual converged start wins, index order breaking ties.
+    frozen unless fit_omega/fit_gamma).  Multi-start Levenberg-Marquardt
+    with the analytic Jacobian of `TraceResiduals`, scaled by its column
+    norms; the lowest-residual converged start wins, index order breaking
+    ties.  Raises ConvergenceError, listing each start's reason, when no
+    start converges.
     """
-    if model not in _MODEL_PARAMS:
-        raise ValueError(f"unknown state model {model!r}")
-    state_names = _MODEL_PARAMS[model]
-    names = list(state_names)
-    if fit_omega:
-        names.append("omega")
-    if fit_gamma:
-        names.append("gamma")
-    missing = [n for n in list(state_names) + ["omega", "gamma"] if n not in init]
-    if missing:
-        raise ValueError(f"init missing parameters: {missing}")
     if nmax is None:
         nmax = _default_nmax(model, init)
+    residuals = TraceResiduals(trace, model, init, nmax, fit_omega, fit_gamma)
     nyquist_check(trace.times, init["omega"] * 1.2, nmax)
-    sigma = _binomial_sigma(trace.pdown, trace.shots_per_point)
-
-    def unpack(vec):
-        vals = dict(zip(names, vec))
-        omega = vals.get("omega", init["omega"])
-        gamma = abs(vals.get("gamma", init["gamma"]))
-        state = [vals[n] for n in state_names]
-        return state, omega, gamma
-
-    def residuals(vec):
-        state, omega, gamma = unpack(vec)
-        pops = model_populations(model, state, nmax)
-        signal = spinmotion.bsb_signal(pops, omega, gamma, trace.times)
-        return (signal - trace.pdown) / sigma
 
     rng = np.random.default_rng(seed)
-    x0 = np.array([init[n] for n in names], dtype=float)
-    scales = np.where(np.abs(x0) > 1e-9, np.abs(x0), 1.0)
+    x0 = residuals.x0
     best = None
+    failures = []
     for start in range(max(n_starts, 1)):
         if start == 0:
             guess = x0.copy()
@@ -337,24 +386,74 @@ def fit_state_model(trace, model, init, nmax=None, fit_omega=True, fit_gamma=Tru
             guess = x0 * (1.0 + 0.2 * rng.uniform(-1, 1, size=x0.size))
         try:
             sol = scipy.optimize.least_squares(
-                residuals, guess, method="lm", x_scale=scales, xtol=1e-14, ftol=1e-14,
-                max_nfev=4000,
+                residuals, guess, jac=residuals.jac, method="lm", x_scale="jac",
+                xtol=1e-14, ftol=1e-14, max_nfev=4000,
             )
-        except Exception:
+        except (ValueError, SqueezeAmpError) as exc:
+            failures.append(f"start {start}: {type(exc).__name__}: {exc}")
             continue
         if not sol.success:
+            failures.append(f"start {start}: status {sol.status}: {sol.message}")
             continue
         if best is None or sol.cost < best.cost - 1e-15:
             best = sol
     if best is None:
-        raise ConvergenceError(f"{model} fit failed to converge from {n_starts} starts")
+        raise ConvergenceError(
+            f"{model} fit failed to converge from {n_starts} starts: " + "; ".join(failures)
+        )
+    cov = _state_covariance(residuals, best.x, best.fun, best.jac)
     params = best.x.copy()
     # report magnitudes for sign-symmetric parameters
-    for i, n in enumerate(names):
+    for i, n in enumerate(residuals.names):
         if n in ("alpha", "r", "gamma"):
             params[i] = abs(params[i])
-    cov = _pinv_covariance(best.jac)
-    return FitResult(model, tuple(names), params, cov, float(np.linalg.norm(best.fun)))
+    return FitResult(model, residuals.names, params, cov, float(np.linalg.norm(best.fun)))
+
+
+def _state_covariance(residuals, x, r, J):
+    """Parameter covariance at an optimum x with weighted residuals r and Jacobian J.
+
+    (J^T J)^{-1} when J has full numerical rank.  When it is rank-deficient
+    (sigma_min < sqrt(eps) sigma_max), J^T J misses the curvature of the
+    deficient direction, so the inverse of the full Hessian of the cost
+    |r|^2/2, H = J^T J + sum_i r_i Hess(r_i), is used instead (Nocedal and
+    Wright, Numerical Optimization, 2nd ed., sec. 10.3); Hess(r_i) comes
+    from central differences of the analytic Jacobian.
+    """
+    eps = np.finfo(float).eps
+    sv = np.linalg.svd(J, compute_uv=False)
+    if sv[-1] >= math.sqrt(eps) * sv[0]:
+        return _pinv_covariance(J)
+    H = J.T @ J
+    for k in range(x.size):
+        h = eps ** (1 / 3) * max(abs(x[k]), 1.0)
+        step = np.zeros(x.size)
+        step[k] = h
+        dJ = (residuals.jac(x + step) - residuals.jac(x - step)) / (2 * h)
+        H[:, k] += dJ.T @ r
+    return _hessian_covariance(0.5 * (H + H.T))
+
+
+def _hessian_covariance(H):
+    """H^{-1} for a symmetric Hessian, with infinite variance along flat directions.
+
+    An eigendirection of the Jacobi-scaled H without positive curvature
+    (eigenvalue below sqrt(eps) times the largest) has no finite variance:
+    every parameter it moves gets an infinite variance and undefined (NaN)
+    covariances.
+    """
+    tol = math.sqrt(np.finfo(float).eps)
+    diag = np.diag(H)
+    d = np.sqrt(np.where(diag > 0, diag, 1.0))
+    w, V = np.linalg.eigh(H / np.outer(d, d))
+    flat = w <= tol * max(w[-1], 0.0)
+    pos = ~flat
+    cov = (V[:, pos] / w[pos]) @ V[:, pos].T / np.outer(d, d)
+    loose = np.sum(V[:, flat] ** 2, axis=1) > tol
+    cov[loose, :] = np.nan
+    cov[:, loose] = np.nan
+    cov[loose, loose] = np.inf
+    return cov
 
 
 def _default_nmax(model, init):

@@ -103,47 +103,68 @@ def squeezed_vacuum(xi, space, check_tail=True):
     return state
 
 
-def displaced_squeezed_populations(d, xi, nmax):
+def displaced_squeezed_populations(d, xi, nmax, jac=False):
     """Fock populations of D(α) S(ξ)|0> for n = 0..nmax-1.
 
     Uses the Hermite-polynomial closed form with a scaled three-term
-    recurrence: the running quantity already carries the (½ tanh r)ⁿ/n!
-    weight and the Gaussian prefactor, so every intermediate is bounded by
-    a population and cannot overflow.  r = 0 is routed to the coherent-state
-    formula (the Hermite argument is singular there).
+    recurrence for the amplitudes g_n (P_n = |g_n|²):
+
+        g_{n+1} = 2ζ/√(n+1) g_n - tanh r √(n/(n+1)) g_{n-1},
+        ζ = ½(α e^{-iθ/2} + α* e^{iθ/2} tanh r),
+        g_0 = exp(-½|α|² - ½ Re(α*² e^{iθ}) tanh r) / √(cosh r).
+
+    The running quantity already carries the (½ tanh r)ⁿ/n! weight and the
+    Gaussian prefactor, so every intermediate is bounded by a population and
+    cannot overflow.  ζ is the Hermite argument times √(½ tanh r); unlike
+    the argument itself it stays finite at r = 0, where the recurrence is
+    the coherent-state one, g_{n+1} = α g_n/√(n+1).  g_0 underflows, and
+    every population with it, once |α|² exceeds ~1400.
+
+    With jac=True, also returns ∂P_n/∂(|α|, r, θ) as an (nmax, 3) array, at
+    fixed phase of α, by forward-mode differentiation of the same
+    recurrence.
     """
     alpha = complex(d.alpha)
-    if xi.r == 0.0:
-        n = np.arange(nmax)
-        logw = -abs(alpha) ** 2 + 2 * n * np.log(max(abs(alpha), 1e-300)) - [
-            math.lgamma(k + 1) for k in n
-        ]
-        pops = np.exp(logw)
-        if alpha == 0:
-            pops = np.zeros(nmax)
-            pops[0] = 1.0
-        return pops
-
     r, theta = xi.r, xi.theta
-    eith = cmath.exp(1j * theta)
+    a = abs(alpha)
     tanh_r = math.tanh(r)
-    z = (alpha * math.cosh(r) + np.conj(alpha) * eith * math.sinh(r)) / cmath.sqrt(
-        eith * math.sinh(2 * r)
-    )
-    w = math.sqrt(0.5 * tanh_r)
-    # Gaussian prefactor, split evenly onto each recurrence term.
-    log_pref = -abs(alpha) ** 2 - (np.conj(alpha) ** 2 * eith).real * tanh_r
-    g_prev = 0.0 + 0.0j
-    g = cmath.exp(0.5 * log_pref) / math.sqrt(math.cosh(r))  # n = 0 term
-    pops = np.empty(nmax)
-    pops[0] = abs(g) ** 2
-    for n in range(nmax - 1):
-        g_next = (2 * z * w / math.sqrt(n + 1)) * g - (
-            2 * w * w * math.sqrt(n / (n + 1.0)) if n > 0 else 0.0
-        ) * g_prev
+    sech2_r = 1.0 - tanh_r * tanh_r
+    ah = alpha * cmath.exp(-0.5j * theta)  # α e^{-iθ/2}
+    zeta = 0.5 * (ah + ah.conjugate() * tanh_r)
+    quad = ah.conjugate() ** 2  # α*² e^{iθ}
+    g = cmath.exp(-0.5 * a * a - 0.5 * quad.real * tanh_r) / math.sqrt(math.cosh(r))
+    if jac:
+        uh = ah / a if a else cmath.exp(-0.5j * theta)
+        # ζ and g_0 differentiated along (|α|, r, θ)
+        dzeta = (
+            0.5 * (uh + uh.conjugate() * tanh_r),
+            0.5 * ah.conjugate() * sech2_r,
+            0.25j * (ah.conjugate() * tanh_r - ah),
+        )
+        dg = (
+            g * (-a - a * (uh.conjugate() ** 2).real * tanh_r),
+            g * (-0.5 * quad.real * sech2_r - 0.5 * tanh_r),
+            g * 0.5 * quad.imag * tanh_r,
+        )
+        dg_prev = (0j, 0j, 0j)
+    amps = np.empty((nmax, 4 if jac else 1), dtype=complex)
+    g_prev = 0j
+    for n in range(nmax):
+        c1, c2 = 2.0 / math.sqrt(n + 1), math.sqrt(n / (n + 1.0))
+        g_next = c1 * zeta * g - c2 * tanh_r * g_prev
+        if jac:
+            amps[n] = (g, *dg)
+            dg_next = [c1 * (dz * g + zeta * dgk) - c2 * tanh_r * dpk
+                       for dz, dgk, dpk in zip(dzeta, dg, dg_prev)]
+            dg_next[1] -= c2 * sech2_r * g_prev  # tanh r is the r-dependent coefficient
+            dg_prev, dg = dg, dg_next
+        else:
+            amps[n] = g
         g_prev, g = g, g_next
-        pops[n + 1] = abs(g) ** 2
-    return pops
+    pops = np.abs(amps[:, 0]) ** 2
+    if not jac:
+        return pops
+    return pops, 2.0 * (amps[:, :1].conj() * amps[:, 1:]).real
 
 
 def displaced_squeezed_state(d, xi, space, check_tail=True):

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from squeezeamp.errors import DimensionMismatchError
+from squeezeamp import fitting
+from squeezeamp.errors import ConvergenceError, DimensionMismatchError
 from squeezeamp.fitting import (
     BOHR_RADIUS,
     FitResult,
     RabiTrace,
+    TraceResiduals,
+    _hessian_covariance,
     alpha_to_length,
     contrast_and_noise,
     extract_populations,
@@ -176,23 +179,111 @@ class TestStateModelFits:
         assert abs(empirical - reported) / empirical < 0.30
 
     def test_jacobian_consistency(self):
-        # forward-difference LM jacobian vs central differences at the optimum
+        # analytic Jacobian vs central differences of the residual, rebuilt
+        # here from model_populations and bsb_signal
+        nmax = 24
+        for model, truth in (
+            ("coherent", {"alpha": 0.8}),
+            ("squeezed", {"r": 0.7}),
+            ("displaced_squeezed", {"alpha": 0.5, "r": 0.75, "theta": 1.3}),
+        ):
+            pops = model_populations(model, list(truth.values()), nmax)
+            tr = synthetic_trace(pops, times=TIMES[:120], rng=np.random.default_rng(3))
+            res = TraceResiduals(tr, model, dict(truth, omega=OM * 1.01, gamma=55.0), nmax)
+            assert res.names == tuple(truth) + ("omega", "gamma")
+            n_state = len(truth)
+
+            def resid(vec):
+                p = model_populations(model, vec[:n_state], nmax)
+                return bsb_signal(p, vec[n_state], abs(vec[n_state + 1]), tr.times) - tr.pdown
+
+            # a generic point, and one with negative sign-symmetric parameters
+            points = [res.x0, res.x0 * np.array([-1.0] * n_state + [1.0, -1.0])]
+            if "r" in truth:
+                for r in (0.0, 1e-6):
+                    x = res.x0.copy()
+                    x[list(truth).index("r")] = r
+                    points.append(x)
+            if "theta" in truth:
+                x = res.x0.copy()
+                x[2] = 0.0
+                points.append(x)
+            for x in points:
+                jac = res.jac(x) * res.sigma[:, None]
+                assert np.allclose(res(x) * res.sigma, resid(x), rtol=0, atol=1e-14)
+                fd = np.empty_like(jac)
+                for k in range(x.size):
+                    h = 1e-7 * max(abs(x[k]), 1.0)
+                    step = np.zeros(x.size)
+                    step[k] = h
+                    fd[:, k] = (resid(x + step) - resid(x - step)) / (2 * h)
+                # columns in units of a relative parameter change
+                size = np.maximum(np.abs(x), 1.0)
+                err = np.max(np.abs(jac - fd) * size) / np.max(np.abs(jac) * size)
+                assert err < 1e-6, (model, x, err)
+
+
+class TestFitFailures:
+    def test_every_start_failing_lists_each_reason(self, monkeypatch):
+        def broken(model, params, nmax, jac=False):
+            raise ValueError("populations unavailable")
+
+        monkeypatch.setattr(fitting, "model_populations", broken)
+        tr = synthetic_trace([1.0])
+        with pytest.raises(ConvergenceError) as info:
+            fit_state_model(tr, "coherent", {"alpha": 0.2, "omega": OM, "gamma": 60.0})
+        message = str(info.value)
+        for start in range(5):
+            assert f"start {start}: ValueError: populations unavailable" in message
+
+    def test_unexpected_errors_propagate(self, monkeypatch):
+        def broken(model, params, nmax, jac=False):
+            raise ZeroDivisionError("a bug, not a failed start")
+
+        monkeypatch.setattr(fitting, "model_populations", broken)
+        with pytest.raises(ZeroDivisionError):
+            fit_state_model(synthetic_trace([1.0]), "coherent",
+                            {"alpha": 0.2, "omega": OM, "gamma": 60.0})
+
+
+class TestRankDeficientErrorBars:
+    def test_theta_stderr_matches_profile_likelihood(self):
+        # At theta = 0 every population is stationary in theta, so J^T J is
+        # singular there; the error bar must come from the full Hessian.
         import scipy.optimize
 
-        pops = displaced_squeezed_populations(Displacement(0.3), SqueezeParam(0.0), 12)
-        tr = synthetic_trace(pops)
-        res = fit_state_model(tr, "coherent", {"alpha": 0.3, "omega": OM, "gamma": 60.0})
+        pops = model_populations("displaced_squeezed", [0.5, 0.8, 0.3], 64)
+        times = np.arange(1, 301) * 2e-5
+        tr = synthetic_trace(pops, gamma=60.0, times=times, rng=np.random.default_rng(7))
+        init = {"alpha": 0.45, "r": 0.7, "theta": 0.2, "omega": OM, "gamma": 60.0}
+        res = fit_state_model(tr, "displaced_squeezed", init)
+        theta = res.param("theta")
+        assert abs(math.remainder(theta, 2 * math.pi)) < 1e-5
+        nmax = 36
+        p_obs = np.clip(tr.pdown, 1e-3, 1 - 1e-3)
+        sigma = np.sqrt(p_obs * (1 - p_obs) / tr.shots_per_point)
 
-        def resid(vec):
-            alpha, omega, gamma = vec
-            p = model_populations("coherent", [alpha], 12)
-            return (bsb_signal(p, omega, abs(gamma), tr.times) - tr.pdown) / 1.0
+        def profile_cost(th):
+            def resid(v):
+                p = model_populations("displaced_squeezed", [v[0], v[1], th], nmax)
+                return (bsb_signal(p, v[2], abs(v[3]), tr.times) - tr.pdown) / sigma
 
-        x = res.params
-        j2 = scipy.optimize.approx_fprime(x, lambda v: resid(v), 1e-7)
-        j3 = scipy.optimize.approx_fprime(x, lambda v: resid(v), 1e-9)
-        scale = np.max(np.abs(j2))
-        assert np.max(np.abs(j2 - j3)) / scale < 1e-3
+            x0 = [res.param(n) for n in ("alpha", "r", "omega", "gamma")]
+            return scipy.optimize.least_squares(resid, x0, xtol=1e-12, ftol=1e-12).cost
+
+        dth = 0.2
+        curvature = (profile_cost(theta + dth) + profile_cost(theta - dth)
+                     - 2 * profile_cost(theta)) / dth**2
+        width = 1.0 / math.sqrt(curvature)
+        assert abs(res.error("theta") - width) / width < 0.30
+        assert np.all(np.isfinite(res.stderr))
+
+    def test_flat_direction_has_infinite_variance(self):
+        cov = _hessian_covariance(np.array([[4.0, 0.0], [0.0, 0.0]]))
+        assert cov[0, 0] == pytest.approx(0.25)
+        assert cov[1, 1] == math.inf
+        cov = _hessian_covariance(np.array([[2.0, 1.0], [1.0, 3.0]]))
+        assert np.allclose(cov, np.linalg.inv([[2.0, 1.0], [1.0, 3.0]]))
 
 
 class TestSinusoidFit:
