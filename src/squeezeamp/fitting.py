@@ -3,10 +3,10 @@ parameterized state fits, fringe fits, and projection-noise statistics.
 
 All weighted fits use binomial shot-noise weights sigma^2 = P(1-P)/shots and
 report stderr as the square root of the diagonal of (J^T W J)^{-1} at the
-optimum.  The one exception is a state-model fit whose weighted Jacobian is
-rank-deficient at the optimum: its covariance is the inverse of the full
-Hessian of the cost, and a direction without positive curvature gets an
-infinite variance.
+optimum.  The one exception is a state-model fit where J^T W J misses the
+curvature of some direction at the optimum: its covariance is the inverse of
+the full Hessian of the cost, and a direction without positive curvature
+gets an infinite variance.
 """
 
 from dataclasses import dataclass, field
@@ -276,11 +276,20 @@ _MODEL_PARAMS = {
 }
 
 
-def model_populations(model, params, nmax, jac=False):
-    """Ideal Fock populations for the named state model.
+#: Parameters that enter the model only through their magnitude.
+_SIGN_SYMMETRIC = ("alpha", "r", "gamma")
 
-    The sign-symmetric parameters enter through |alpha| and |r|.  With
-    jac=True, also returns dP/dparams as an (nmax, len(params)) array.
+
+def _sign(v):
+    """d|v|/dv, taken as +1 at v = 0 (the one-sided derivative from above)."""
+    return -1.0 if v < 0 else 1.0
+
+
+def model_populations(model, params, nmax):
+    """Ideal Fock populations of the named state model and their Jacobian.
+
+    Returns (P, dP/dparams), of shapes (nmax,) and (nmax, len(params)).  The
+    sign-symmetric parameters enter through |alpha| and |r|.
     """
     if model not in _MODEL_PARAMS:
         raise ValueError(f"unknown state model {model!r}")
@@ -289,14 +298,11 @@ def model_populations(model, params, nmax, jac=False):
         raise ValueError(f"{model} takes parameters {names}, got {len(params)} values")
     vals = dict(zip(names, params))
     alpha, r, theta = vals.get("alpha", 0.0), vals.get("r", 0.0), vals.get("theta", 0.0)
-    out = gaussian.displaced_squeezed_populations(
-        gaussian.Displacement(abs(alpha)), gaussian.SqueezeParam(abs(r), theta), nmax, jac=jac
+    pops, dpops = gaussian.displaced_squeezed_populations(
+        gaussian.Displacement(abs(alpha)), gaussian.SqueezeParam(abs(r), theta), nmax, jac=True
     )
-    if not jac:
-        return out
-    pops, dpops = out
     cols = [("alpha", "r", "theta").index(n) for n in names]
-    signs = [1.0 if n == "theta" else np.sign(vals[n]) for n in names]
+    signs = [_sign(vals[n]) if n in _SIGN_SYMMETRIC else 1.0 for n in names]
     return pops, dpops[:, cols] * signs
 
 
@@ -308,7 +314,9 @@ class TraceResiduals:
     E = exp((-gamma + i omega) sqrt(n+1) t), M = Re(E)/2 and the Jacobian is
     analytic: d/domega = -(sqrt(n+1) t Im E) P/2, d/dgamma = -sign(gamma)
     (sqrt(n+1) t Re E) P/2 and d/dstate = M dP/dstate.  One model evaluation
-    at x serves both the residual and the Jacobian there.
+    at x serves both the residual and the Jacobian there.  At the zero of a
+    sign-symmetric parameter the Jacobian takes the derivative from above,
+    so a fit started there can still move it.
 
     `names` orders the fitted parameters: the state's, then omega and gamma
     unless frozen at their `init` values.
@@ -338,7 +346,7 @@ class TraceResiduals:
             omega = vals.get("omega", self.init["omega"])
             gamma = vals.get("gamma", self.init["gamma"])
             pops, dpops = model_populations(
-                self.model, [vals[n] for n in self.state_names], self.nmax, jac=True
+                self.model, [vals[n] for n in self.state_names], self.nmax
             )
             E, root_t = _bsb_phasors(self.times, omega, abs(gamma), self.nmax)
             self._key, self._cached = key, (pops, dpops, E, root_t, gamma)
@@ -354,7 +362,7 @@ class TraceResiduals:
         if "omega" in self.names:
             cols.append(-0.5 * ((root_t * E.imag) @ pops)[:, None])
         if "gamma" in self.names:
-            cols.append(-0.5 * np.sign(gamma) * ((root_t * E.real) @ pops)[:, None])
+            cols.append(-0.5 * _sign(gamma) * ((root_t * E.real) @ pops)[:, None])
         return np.hstack(cols) / self.sigma[:, None]
 
 
@@ -383,7 +391,10 @@ def fit_state_model(trace, model, init, nmax=None, fit_omega=True, fit_gamma=Tru
         if start == 0:
             guess = x0.copy()
         else:
-            guess = x0 * (1.0 + 0.2 * rng.uniform(-1, 1, size=x0.size))
+            # additive where the start is 0: every population is stationary
+            # in alpha at 0 and in theta at 0, so no gradient leaves there
+            u = rng.uniform(-1, 1, size=x0.size)
+            guess = x0 * (1.0 + 0.2 * u) + 0.2 * u * (x0 == 0)
         try:
             sol = scipy.optimize.least_squares(
                 residuals, guess, jac=residuals.jac, method="lm", x_scale="jac",
@@ -401,29 +412,32 @@ def fit_state_model(trace, model, init, nmax=None, fit_omega=True, fit_gamma=Tru
         raise ConvergenceError(
             f"{model} fit failed to converge from {n_starts} starts: " + "; ".join(failures)
         )
-    cov = _state_covariance(residuals, best.x, best.fun, best.jac)
-    params = best.x.copy()
-    # report magnitudes for sign-symmetric parameters
-    for i, n in enumerate(residuals.names):
-        if n in ("alpha", "r", "gamma"):
-            params[i] = abs(params[i])
+    # report magnitudes for sign-symmetric parameters, with the covariance of
+    # those magnitudes: the residuals do not change, J's columns flip sign
+    params = np.array([abs(v) if n in _SIGN_SYMMETRIC else v
+                       for n, v in zip(residuals.names, best.x)])
+    cov = _state_covariance(residuals, params, best.fun)
     return FitResult(model, residuals.names, params, cov, float(np.linalg.norm(best.fun)))
 
 
-def _state_covariance(residuals, x, r, J):
-    """Parameter covariance at an optimum x with weighted residuals r and Jacobian J.
+def _state_covariance(residuals, x, r):
+    """Parameter covariance at an optimum x with weighted residuals r.
 
-    (J^T J)^{-1} when J has full numerical rank.  When it is rank-deficient
-    (sigma_min < sqrt(eps) sigma_max), J^T J misses the curvature of the
-    deficient direction, so the inverse of the full Hessian of the cost
-    |r|^2/2, H = J^T J + sum_i r_i Hess(r_i), is used instead (Nocedal and
-    Wright, Numerical Optimization, 2nd ed., sec. 10.3); Hess(r_i) comes
-    from central differences of the analytic Jacobian.
+    (J^T J)^{-1} unless J^T J misses the curvature of some direction, in
+    which case the inverse of the full Hessian of the cost |r|^2/2,
+    H = J^T J + sum_i r_i Hess(r_i), is used instead (Nocedal and Wright,
+    Numerical Optimization, 2nd ed., sec. 10.3).  The test runs in the
+    coordinates where H has a unit diagonal, so it does not depend on the
+    parameters' units: there, the smallest eigenvalue of J^T J must reach
+    sqrt(eps) times its largest.  J's own column norms would not do as the
+    scale: at theta = 0 every population is stationary in theta, so J's theta
+    column is ~theta while H's curvature in theta is not, and normalizing
+    that column would hide the missing curvature.
+
+    Hess(r_i) comes from central differences of the analytic Jacobian.
     """
     eps = np.finfo(float).eps
-    sv = np.linalg.svd(J, compute_uv=False)
-    if sv[-1] >= math.sqrt(eps) * sv[0]:
-        return _pinv_covariance(J)
+    J = residuals.jac(x)
     H = J.T @ J
     for k in range(x.size):
         h = eps ** (1 / 3) * max(abs(x[k]), 1.0)
@@ -431,7 +445,13 @@ def _state_covariance(residuals, x, r, J):
         step[k] = h
         dJ = (residuals.jac(x + step) - residuals.jac(x - step)) / (2 * h)
         H[:, k] += dJ.T @ r
-    return _hessian_covariance(0.5 * (H + H.T))
+    H = 0.5 * (H + H.T)
+    d = np.sqrt(np.where(np.diag(H) > 0, np.diag(H), np.sum(J**2, axis=0)))
+    Js = J / np.where(d > 0, d, 1.0)
+    curv = np.linalg.eigvalsh(Js.T @ Js)
+    if curv[0] >= math.sqrt(eps) * curv[-1]:
+        return _pinv_covariance(J)
+    return _hessian_covariance(H)
 
 
 def _hessian_covariance(H):

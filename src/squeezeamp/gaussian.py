@@ -109,16 +109,17 @@ def displaced_squeezed_populations(d, xi, nmax, jac=False):
     Uses the Hermite-polynomial closed form with a scaled three-term
     recurrence for the amplitudes g_n (P_n = |g_n|²):
 
-        g_{n+1} = 2ζ/√(n+1) g_n - tanh r √(n/(n+1)) g_{n-1},
-        ζ = ½(α e^{-iθ/2} + α* e^{iθ/2} tanh r),
-        g_0 = exp(-½|α|² - ½ Re(α*² e^{iθ}) tanh r) / √(cosh r).
+        g_{n+1} = 2ζ/√(n+1) g_n - q √(n/(n+1)) g_{n-1},
+        ζ = ½(α + α* q),  q = e^{iθ} tanh r,
+        g_0 = exp(-½|α|² - ½ Re(α*² q)) / √(cosh r).
 
     The running quantity already carries the (½ tanh r)ⁿ/n! weight and the
     Gaussian prefactor, so every intermediate is bounded by a population and
-    cannot overflow.  ζ is the Hermite argument times √(½ tanh r); unlike
-    the argument itself it stays finite at r = 0, where the recurrence is
-    the coherent-state one, g_{n+1} = α g_n/√(n+1).  g_0 underflows, and
-    every population with it, once |α|² exceeds ~1400.
+    cannot overflow.  g_n is the Hermite-form amplitude times the phase
+    e^{inθ/2}, which leaves P_n unchanged and makes θ enter only through q:
+    at r = 0 the recurrence is the coherent-state one, g_{n+1} = α g_n/√(n+1),
+    and the populations and their θ-derivative do not depend on θ at all.
+    g_0 underflows, and every population with it, once |α|² exceeds ~1400.
 
     With jac=True, also returns ∂P_n/∂(|α|, r, θ) as an (nmax, 3) array, at
     fixed phase of α, by forward-mode differentiation of the same
@@ -129,34 +130,32 @@ def displaced_squeezed_populations(d, xi, nmax, jac=False):
     a = abs(alpha)
     tanh_r = math.tanh(r)
     sech2_r = 1.0 - tanh_r * tanh_r
-    ah = alpha * cmath.exp(-0.5j * theta)  # α e^{-iθ/2}
-    zeta = 0.5 * (ah + ah.conjugate() * tanh_r)
-    quad = ah.conjugate() ** 2  # α*² e^{iθ}
-    g = cmath.exp(-0.5 * a * a - 0.5 * quad.real * tanh_r) / math.sqrt(math.cosh(r))
+    eith = cmath.exp(1j * theta)
+    q = eith * tanh_r
+    zeta = 0.5 * (alpha + alpha.conjugate() * q)
+    quad = alpha.conjugate() ** 2 * q  # α*² e^{iθ} tanh r
+    g = cmath.exp(-0.5 * a * a - 0.5 * quad.real) / math.sqrt(math.cosh(r))
     if jac:
-        uh = ah / a if a else cmath.exp(-0.5j * theta)
-        # ζ and g_0 differentiated along (|α|, r, θ)
-        dzeta = (
-            0.5 * (uh + uh.conjugate() * tanh_r),
-            0.5 * ah.conjugate() * sech2_r,
-            0.25j * (ah.conjugate() * tanh_r - ah),
-        )
+        u = alpha / a if a else 1 + 0j
+        # ζ, q and g_0 differentiated along (|α|, r, θ)
+        dzeta = (0.5 * (u + u.conjugate() * q), 0.5 * alpha.conjugate() * eith * sech2_r,
+                 0.5j * alpha.conjugate() * q)
+        dq = (0j, eith * sech2_r, 1j * q)
         dg = (
-            g * (-a - a * (uh.conjugate() ** 2).real * tanh_r),
-            g * (-0.5 * quad.real * sech2_r - 0.5 * tanh_r),
-            g * 0.5 * quad.imag * tanh_r,
+            g * (-a - a * (u.conjugate() ** 2 * q).real),
+            g * (-0.5 * (alpha.conjugate() ** 2 * eith).real * sech2_r - 0.5 * tanh_r),
+            g * 0.5 * quad.imag,
         )
         dg_prev = (0j, 0j, 0j)
     amps = np.empty((nmax, 4 if jac else 1), dtype=complex)
     g_prev = 0j
     for n in range(nmax):
         c1, c2 = 2.0 / math.sqrt(n + 1), math.sqrt(n / (n + 1.0))
-        g_next = c1 * zeta * g - c2 * tanh_r * g_prev
+        g_next = c1 * zeta * g - c2 * q * g_prev
         if jac:
             amps[n] = (g, *dg)
-            dg_next = [c1 * (dz * g + zeta * dgk) - c2 * tanh_r * dpk
-                       for dz, dgk, dpk in zip(dzeta, dg, dg_prev)]
-            dg_next[1] -= c2 * sech2_r * g_prev  # tanh r is the r-dependent coefficient
+            dg_next = tuple(c1 * (dz * g + zeta * dgk) - c2 * (dqk * g_prev + q * dpk)
+                            for dz, dqk, dgk, dpk in zip(dzeta, dq, dg, dg_prev))
             dg_prev, dg = dg, dg_next
         else:
             amps[n] = g

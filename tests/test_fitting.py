@@ -161,6 +161,32 @@ class TestStateModelFits:
         )
         assert res.param("r") == pytest.approx(1.5, rel=1e-3)
 
+    @pytest.mark.parametrize("model, truth, start", [
+        ("coherent", {"alpha": 0.8}, {"alpha": 0.7, "gamma": 0.0}),
+        ("coherent", {"alpha": 0.8}, {"alpha": 0.0, "gamma": 60.0}),
+        ("displaced_squeezed", {"alpha": 0.5, "r": 0.75, "theta": 1.3},
+         {"alpha": 0.45, "r": 0.0, "theta": 1.2, "gamma": 60.0}),
+        ("displaced_squeezed", {"alpha": 0.5, "r": 0.75, "theta": 1.3},
+         {"alpha": 0.0, "r": 0.7, "theta": 1.2, "gamma": 60.0}),
+        # the fit command's default start
+        ("displaced_squeezed", {"alpha": 0.5, "r": 0.75, "theta": 1.3},
+         {"alpha": 0.5, "r": 1.0, "theta": 0.0, "gamma": 60.0}),
+    ])
+    def test_start_at_zero_moves(self, model, truth, start):
+        # gamma, and r when alpha != 0, enter linearly through their
+        # magnitudes; every population is stationary in alpha at 0 and in
+        # theta at 0.  A start at exactly 0 must not pin any of them there.
+        pops = model_populations(model, list(truth.values()), 40)[0]
+        tr = synthetic_trace(pops)
+        res = fit_state_model(tr, model, dict(start, omega=OM))
+        for name, want in dict(truth, gamma=60.0).items():
+            got = res.param(name)
+            if name == "theta":
+                # populations are even in theta when alpha is real
+                got = abs(math.remainder(got, 2 * math.pi))
+            assert got == pytest.approx(want, rel=1e-4), name
+        assert np.all(np.isfinite(res.stderr)) and np.all(res.stderr > 0)
+
     def test_monte_carlo_stderr_calibration(self):
         # empirical spread of alpha-hat vs mean reported stderr within 30%
         pops = displaced_squeezed_populations(Displacement(0.5), SqueezeParam(0.0), 16)
@@ -187,18 +213,20 @@ class TestStateModelFits:
             ("squeezed", {"r": 0.7}),
             ("displaced_squeezed", {"alpha": 0.5, "r": 0.75, "theta": 1.3}),
         ):
-            pops = model_populations(model, list(truth.values()), nmax)
+            pops = model_populations(model, list(truth.values()), nmax)[0]
             tr = synthetic_trace(pops, times=TIMES[:120], rng=np.random.default_rng(3))
             res = TraceResiduals(tr, model, dict(truth, omega=OM * 1.01, gamma=55.0), nmax)
             assert res.names == tuple(truth) + ("omega", "gamma")
             n_state = len(truth)
 
             def resid(vec):
-                p = model_populations(model, vec[:n_state], nmax)
+                p = model_populations(model, vec[:n_state], nmax)[0]
                 return bsb_signal(p, vec[n_state], abs(vec[n_state + 1]), tr.times) - tr.pdown
 
-            # a generic point, and one with negative sign-symmetric parameters
-            points = [res.x0, res.x0 * np.array([-1.0] * n_state + [1.0, -1.0])]
+            # a generic point, one with negative sign-symmetric parameters,
+            # and one at gamma = 0
+            points = [res.x0, res.x0 * np.array([-1.0] * n_state + [1.0, -1.0]),
+                      res.x0 * np.array([1.0] * n_state + [1.0, 0.0])]
             if "r" in truth:
                 for r in (0.0, 1e-6):
                     x = res.x0.copy()
@@ -210,13 +238,24 @@ class TestStateModelFits:
                 points.append(x)
             for x in points:
                 jac = res.jac(x) * res.sigma[:, None]
+                if "theta" in truth and x[1] == 0:
+                    # theta has no meaning at r = 0; a roundoff-sized column
+                    # would set LM's column-norm scale for theta to ~1e-15
+                    assert np.all(jac[:, 2] == 0)
                 assert np.allclose(res(x) * res.sigma, resid(x), rtol=0, atol=1e-14)
                 fd = np.empty_like(jac)
                 for k in range(x.size):
                     h = 1e-7 * max(abs(x[k]), 1.0)
                     step = np.zeros(x.size)
                     step[k] = h
-                    fd[:, k] = (resid(x + step) - resid(x - step)) / (2 * h)
+                    if x[k] == 0 and res.names[k] in ("alpha", "r", "gamma"):
+                        # the residual depends on |x_k|: compare with the
+                        # one-sided (second-order) derivative from above
+                        step *= 100
+                        fd[:, k] = (4 * resid(x + step) - resid(x + 2 * step)
+                                    - 3 * resid(x)) / (2 * step[k])
+                    else:
+                        fd[:, k] = (resid(x + step) - resid(x - step)) / (2 * h)
                 # columns in units of a relative parameter change
                 size = np.maximum(np.abs(x), 1.0)
                 err = np.max(np.abs(jac - fd) * size) / np.max(np.abs(jac) * size)
@@ -225,7 +264,7 @@ class TestStateModelFits:
 
 class TestFitFailures:
     def test_every_start_failing_lists_each_reason(self, monkeypatch):
-        def broken(model, params, nmax, jac=False):
+        def broken(model, params, nmax):
             raise ValueError("populations unavailable")
 
         monkeypatch.setattr(fitting, "model_populations", broken)
@@ -237,7 +276,7 @@ class TestFitFailures:
             assert f"start {start}: ValueError: populations unavailable" in message
 
     def test_unexpected_errors_propagate(self, monkeypatch):
-        def broken(model, params, nmax, jac=False):
+        def broken(model, params, nmax):
             raise ZeroDivisionError("a bug, not a failed start")
 
         monkeypatch.setattr(fitting, "model_populations", broken)
@@ -252,7 +291,7 @@ class TestRankDeficientErrorBars:
         # singular there; the error bar must come from the full Hessian.
         import scipy.optimize
 
-        pops = model_populations("displaced_squeezed", [0.5, 0.8, 0.3], 64)
+        pops = model_populations("displaced_squeezed", [0.5, 0.8, 0.3], 64)[0]
         times = np.arange(1, 301) * 2e-5
         tr = synthetic_trace(pops, gamma=60.0, times=times, rng=np.random.default_rng(7))
         init = {"alpha": 0.45, "r": 0.7, "theta": 0.2, "omega": OM, "gamma": 60.0}
@@ -265,7 +304,7 @@ class TestRankDeficientErrorBars:
 
         def profile_cost(th):
             def resid(v):
-                p = model_populations("displaced_squeezed", [v[0], v[1], th], nmax)
+                p = model_populations("displaced_squeezed", [v[0], v[1], th], nmax)[0]
                 return (bsb_signal(p, v[2], abs(v[3]), tr.times) - tr.pdown) / sigma
 
             x0 = [res.param(n) for n in ("alpha", "r", "omega", "gamma")]
@@ -277,6 +316,32 @@ class TestRankDeficientErrorBars:
         width = 1.0 / math.sqrt(curvature)
         assert abs(res.error("theta") - width) / width < 0.30
         assert np.all(np.isfinite(res.stderr))
+
+    @pytest.mark.parametrize("theta, start", [(0.3, 0.2), (1.3, 1.2)])
+    def test_covariance_rule_does_not_depend_on_units(self, theta, start):
+        # Every parameter but theta in new units: the covariance must follow
+        # the change of units, both where the fit lands on theta = 0 (full
+        # Hessian) and where it does not (Gauss-Newton).
+        pops = model_populations("displaced_squeezed", [0.5, 0.8, theta], 64)[0]
+        tr = synthetic_trace(pops, times=np.arange(1, 301) * 2e-5,
+                             rng=np.random.default_rng(7))
+        init = {"alpha": 0.45, "r": 0.7, "theta": start, "omega": OM, "gamma": 60.0}
+        fit = fit_state_model(tr, "displaced_squeezed", init)
+        res = TraceResiduals(tr, "displaced_squeezed", init, 36)
+        scale = np.array([1e-6, 1e-6, 1.0, 1e-3, 1e-2])
+
+        class Rescaled:
+            def jac(self, y):
+                return res.jac(y * scale) * scale
+
+        x = fit.params
+        r = res(x)
+        covs = (fitting._state_covariance(res, x, r), fitting._state_covariance(
+            Rescaled(), x / scale, r) * np.outer(scale, scale))
+        # in units of the stderrs: theta's covariances with the rest are ~0
+        std = np.sqrt(np.diag(covs[0]))
+        assert np.max(np.abs(covs[1] - covs[0]) / np.outer(std, std)) < 1e-6
+        assert np.array_equal(covs[0], fit.covariance)
 
     def test_flat_direction_has_infinite_variance(self):
         cov = _hessian_covariance(np.array([[4.0, 0.0], [0.0, 0.0]]))
