@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatchError, TruncationError
 
@@ -65,6 +64,15 @@ def default_truncation(r=0.0, alpha_abs=0.0):
     return max(64, int(math.ceil(need)))
 
 
+def _checked_tail(tail, eps, dim):
+    """Return `tail`, or raise TruncationError when it reaches `eps`."""
+    if tail >= eps:
+        raise TruncationError(
+            f"tail mass {tail:.3e} >= {eps:.1e}; increase the truncation (dim={dim})"
+        )
+    return tail
+
+
 @dataclass(frozen=True)
 class MotionalState:
     """Pure oscillator state: complex amplitudes over the Fock basis."""
@@ -103,12 +111,7 @@ class MotionalState:
         return float(np.sum(np.abs(self.amps[-levels:]) ** 2))
 
     def check_tail(self, eps=DEFAULT_TAIL_EPS):
-        tail = self.tail_mass()
-        if tail >= eps:
-            raise TruncationError(
-                f"tail mass {tail:.3e} >= {eps:.1e}; increase the truncation (dim={self.space.dim})"
-            )
-        return tail
+        return _checked_tail(self.tail_mass(), eps, self.space.dim)
 
 
 def fock_state(space, n):
@@ -182,6 +185,9 @@ class DensityOperator:
         pops = self.motional_populations()
         return float(np.sum(pops[-levels:]))
 
+    def check_tail(self, eps=DEFAULT_TAIL_EPS):
+        return _checked_tail(self.tail_mass(), eps, self.space.dim)
+
 
 def expectation(state, op):
     """<psi|op|psi> for a pure state (MotionalState, JointState or raw vector)."""
@@ -213,7 +219,10 @@ def hermitian_propagator(H, t):
     scale = max(1.0, float(np.max(np.abs(H))))
     if defect > 1e-9 * scale:
         raise ValueError(f"Hamiltonian is not Hermitian (defect {defect:.3e})")
-    w, v = scipy.linalg.eigh(H)
+    # numpy's eigh keeps this and the numpy products around it in one
+    # OpenBLAS thread pool; scipy bundles its own, and alternating the two
+    # lets the idle pool's spinning threads take the cores.
+    w, v = np.linalg.eigh(H)
     phases = np.exp(-1j * w * t)
     return (v * phases) @ v.conj().T
 

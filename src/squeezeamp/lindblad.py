@@ -11,6 +11,11 @@ Runge-Kutta step of the dissipator, and a second unitary half-step.  The
 step count is doubled until two successive resolutions agree in trace
 distance, so stiff dissipators are detected rather than silently
 under-resolved.
+
+The dissipator costs O(N^2): a is bidiagonal, so the heating terms are
+shifted slices of rho with sqrt(n) weights, and dephasing is elementwise.
+Motional segments run on each nonzero N x N qubit block of the joint
+state instead of the 2N x 2N matrix.
 """
 
 from dataclasses import dataclass, field
@@ -121,6 +126,24 @@ class PulseSequence:
         return cls(tuple(segments))
 
 
+MOTIONAL_KINDS = ("displace", "parametric", "free")
+
+
+def _motional_hamiltonian(segment, space):
+    """N x N Hamiltonian of a MOTIONAL_KINDS segment, or None for `free`."""
+    if segment.kind == "free":
+        return None
+    a = fock.ladder_lowering(space)
+    if segment.kind == "displace":
+        # exp(-i H t) = D(s t e^{i phase})
+        term = 1j * segment.strength * np.exp(1j * segment.phase) * a.conj().T
+        return term + term.conj().T
+    a2 = a @ a
+    return 1j * 0.5 * segment.strength * (
+        a2 * np.exp(-1j * segment.phase) - a2.conj().T * np.exp(1j * segment.phase)
+    )
+
+
 def segment_hamiltonian(segment, space):
     """Joint-space (2N x 2N) Hamiltonian of one segment.
 
@@ -128,73 +151,65 @@ def segment_hamiltonian(segment, space):
     acts on the same composite space.
     """
     dim = space.dim
-    a = fock.ladder_lowering(space)
-    if segment.kind == "free":
-        h_mot = np.zeros((dim, dim), dtype=complex)
-    elif segment.kind == "displace":
-        # exp(-i H t) = D(s t e^{i phase})
-        term = 1j * segment.strength * np.exp(1j * segment.phase) * a.conj().T
-        h_mot = term + term.conj().T
-    elif segment.kind == "parametric":
-        a2 = a @ a
-        h_mot = 1j * 0.5 * segment.strength * (
-            a2 * np.exp(-1j * segment.phase) - a2.conj().T * np.exp(1j * segment.phase)
-        )
-    elif segment.kind == "carrier":
+    if segment.kind == "carrier":
         return np.kron(
             0.5 * segment.strength * np.array(
                 [[0, np.exp(-1j * segment.phase)], [np.exp(1j * segment.phase), 0]]
             ),
             np.eye(dim),
         )
-    else:
+    if segment.kind in ("rsb", "bsb"):
         kind = spinmotion.RSB if segment.kind == "rsb" else spinmotion.BSB
         return spinmotion.sideband_hamiltonian(kind, segment.strength, segment.phase, space)
+    h_mot = _motional_hamiltonian(segment, space)
+    if h_mot is None:
+        h_mot = np.zeros((dim, dim), dtype=complex)
     return np.kron(np.eye(2), h_mot)
 
 
 def _noise_operators(dim, joint, noise):
-    """Precomputed pieces of the dissipator on an N- or 2N-dim space."""
-    space = fock.FockSpace(dim)
-    a = fock.ladder_lowering(space)
-    ad = a.conj().T
+    """Elementwise weights of the dissipator on an N- or 2N-dim space.
+
+    Returns (diag, hop): D(rho) = diag * rho plus the heating hops
+    hop * rho[i-1, j-1] (from a† rho a) and hop * rho[i+1, j+1] (from
+    a rho a†).  At joint dimension n restarts at 0 in the second qubit
+    block, so sqrt(n) = 0 at the block edge and no hop crosses blocks.
+    """
     n = np.arange(dim, dtype=float)
+    if joint:
+        n = np.concatenate([n, n])
     # anticommutator half: (nbar_dot (a a† + a†a) + Gamma n²) / 2, diagonal
     half = 0.5 * (noise.heating_rate * (2 * n + 1) + noise.dephasing_rate * n**2)
-    if joint:
-        a = np.kron(np.eye(2), a)
-        ad = np.kron(np.eye(2), ad)
-        n = np.concatenate([n, n])
-        half = np.concatenate([half, half])
-    return a, ad, n, half
+    diag = noise.dephasing_rate * np.outer(n, n) - half[:, None] - half[None, :]
+    root = np.sqrt(n[1:])
+    hop = noise.heating_rate * np.outer(root, root)
+    return diag, hop
 
 
-def _dissipator(rho, ops, noise):
-    a, ad, n, half = ops
-    out = -half[:, None] * rho - rho * half[None, :]
-    if noise.heating_rate:
-        out += noise.heating_rate * (ad @ rho @ a + a @ rho @ ad)
-    if noise.dephasing_rate:
-        out += noise.dephasing_rate * (n[:, None] * rho * n[None, :])
+def _dissipator(rho, ops):
+    diag, hop = ops
+    out = diag * rho
+    out[1:, 1:] += hop * rho[:-1, :-1]
+    out[:-1, :-1] += hop * rho[1:, 1:]
     return out
 
 
-def _strang_run(rho, H, ops, noise, t, n_steps):
+def _strang_run(rho, H, ops, t, n_steps):
+    """n_steps Strang steps; adjacent unitary half-steps merge into one."""
     dt = t / n_steps
-    if H is None:
-        u_half = None
-    else:
+    if H is not None:
         u_half = fock.hermitian_propagator(H, 0.5 * dt)
-    for _ in range(n_steps):
-        if u_half is not None:
-            rho = u_half @ rho @ u_half.conj().T
-        k1 = _dissipator(rho, ops, noise)
-        k2 = _dissipator(rho + 0.5 * dt * k1, ops, noise)
-        k3 = _dissipator(rho + 0.5 * dt * k2, ops, noise)
-        k4 = _dissipator(rho + dt * k3, ops, noise)
+        u_full = u_half @ u_half
+        rho = u_half @ rho @ u_half.conj().T
+    for step in range(n_steps):
+        k1 = _dissipator(rho, ops)
+        k2 = _dissipator(rho + 0.5 * dt * k1, ops)
+        k3 = _dissipator(rho + 0.5 * dt * k2, ops)
+        k4 = _dissipator(rho + dt * k3, ops)
         rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if u_half is not None:
-            rho = u_half @ rho @ u_half.conj().T
+        if H is not None:
+            u = u_full if step < n_steps - 1 else u_half
+            rho = u @ rho @ u.conj().T
     return rho
 
 
@@ -226,10 +241,10 @@ def lindblad_evolve(rho, H, noise, t, tol=1e-7, min_steps=16, max_doublings=10):
 
     ops = _noise_operators(rho.space.dim, rho.kind == "joint", noise)
     n_steps = max(min_steps, int(math.ceil(t / 1e-6)))
-    coarse = _strang_run(mat, H, ops, noise, t, n_steps)
+    coarse = _strang_run(mat, H, ops, t, n_steps)
     for _ in range(max_doublings):
         n_steps *= 2
-        fine = _strang_run(mat, H, ops, noise, t, n_steps)
+        fine = _strang_run(mat, H, ops, t, n_steps)
         if trace_distance(coarse, fine) < tol:
             return fock.DensityOperator(rho.space, fine, rho.kind)
         coarse = fine
@@ -260,25 +275,29 @@ def run_sequence(seq, noise, initial, tol=1e-7):
     """Apply every segment of a PulseSequence with Lindblad noise.
 
     Noise acts throughout each segment unless the segment's `noise_active`
-    flag is False.  Returns the joint DensityOperator.
+    flag is False.  Motional segments (`MOTIONAL_KINDS`) act as I (x) L on
+    the joint state, so each nonzero N x N qubit block evolves on its own,
+    converged to `tol` in trace distance.  After every segment the
+    truncation tail is checked (TruncationError).  Returns the joint
+    DensityOperator.
     """
     rho = _lift_initial(initial)
     space = rho.space
+    d = space.dim
     for segment in seq.segments:
-        H = segment_hamiltonian(segment, space)
         seg_noise = noise if segment.noise_active else NoiseParams.none()
-        rho = lindblad_evolve(rho, H, seg_noise, segment.duration, tol=tol)
+        if segment.kind in MOTIONAL_KINDS:
+            H = _motional_hamiltonian(segment, space)
+            mat = rho.matrix.copy()
+            for rows in (slice(0, d), slice(d, None)):
+                for cols in (slice(0, d), slice(d, None)):
+                    if np.any(mat[rows, cols]):
+                        block = fock.DensityOperator(space, mat[rows, cols])
+                        out = lindblad_evolve(block, H, seg_noise, segment.duration, tol=tol)
+                        mat[rows, cols] = out.matrix
+            rho = fock.DensityOperator(space, mat, "joint")
+        else:
+            H = segment_hamiltonian(segment, space)
+            rho = lindblad_evolve(rho, H, seg_noise, segment.duration, tol=tol)
+        rho.check_tail()
     return rho
-
-
-def run_sequence_pure(seq, initial):
-    """Noiseless unitary path on a pure JointState (oracle for run_sequence)."""
-    if isinstance(initial, fock.MotionalState):
-        initial = spinmotion.JointState.from_motional(initial, "down")
-    if not isinstance(initial, spinmotion.JointState):
-        raise TypeError("initial must be a JointState or MotionalState")
-    amps = initial.amps
-    for segment in seq.segments:
-        H = segment_hamiltonian(segment, initial.space)
-        amps = fock.hermitian_propagator(H, segment.duration) @ amps
-    return spinmotion.JointState(initial.space, amps)

@@ -104,7 +104,7 @@ class TestSimulateCommand:
         )
         seq_path = tmp_path / "seq.txt"
         seq_path.write_text(seq)
-        cfg = write_config(tmp_path, "lab_truncation = 48\n")
+        cfg = write_config(tmp_path, "lab_truncation = 80\n")
         out = tmp_path / "sim"
         code = cli.main(["simulate", "--sequence", str(seq_path),
                          "--config", cfg, "--out", str(out)])
@@ -118,7 +118,24 @@ class TestSimulateCommand:
         assert payload["trace"] == pytest.approx(1.0, abs=1e-8)
         lines = (out / "simulate.csv").read_text().splitlines()
         assert lines[0] == "n,population"
-        assert len(lines) == 49
+        assert len(lines) == 81
+
+    def test_under_resolved_truncation_is_runtime_error(self, tmp_path, capsys):
+        # r = 0.95 squeezing leaves a top-4 tail of 3.6e-5 at 32 levels
+        seq_path = tmp_path / "seq.txt"
+        seq_path.write_text(
+            "parametric 3 0 315412.3\n"
+            "displace 5 0 40000\n"
+            f"parametric 3 {math.pi!r} 315412.3\n"
+            "rsb 200 0 20000\n"
+        )
+        cfg = write_config(tmp_path, "lab_truncation = 32\n")
+        code = cli.main(["simulate", "--sequence", str(seq_path),
+                         "--config", cfg, "--out", str(tmp_path / "x")])
+        assert code == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "TruncationError"
 
     def test_malformed_sequence_is_config_error(self, tmp_path, capsys):
         seq_path = tmp_path / "seq.txt"

@@ -6,6 +6,7 @@ import pytest
 from squeezeamp import (
     Displacement,
     FockSpace,
+    MotionalState,
     SqueezeParam,
     coherent_state,
     ladder_lowering,
@@ -13,21 +14,58 @@ from squeezeamp import (
     squeezed_vacuum,
     vacuum,
 )
-from squeezeamp.errors import ConfigError
-from squeezeamp.fock import DensityOperator
+from squeezeamp.errors import ConfigError, TruncationError
+from squeezeamp.fock import DensityOperator, hermitian_propagator
 from squeezeamp.lindblad import (
     NoiseParams,
     PulseSequence,
     Segment,
+    _dissipator,
+    _noise_operators,
     lindblad_evolve,
     run_sequence,
-    run_sequence_pure,
     segment_hamiltonian,
     trace_distance,
 )
 from squeezeamp.spinmotion import JointState
 
 G_PAPER = 2 * math.pi * 50.2e3
+
+
+def run_sequence_pure(seq, initial):
+    """Noiseless unitary path on a pure JointState (oracle for run_sequence)."""
+    if isinstance(initial, MotionalState):
+        initial = JointState.from_motional(initial, "down")
+    amps = initial.amps
+    for segment in seq.segments:
+        H = segment_hamiltonian(segment, initial.space)
+        amps = hermitian_propagator(H, segment.duration) @ amps
+    return JointState(initial.space, amps)
+
+
+def dense_dissipator(rho, dim, joint, noise):
+    """Dissipator from dense ladder matrices (oracle for _dissipator).
+
+    The anticommutator uses a a† + a†a = 2n + 1 on every level, as the
+    package does, not the truncated product that is 0 at the top level.
+    """
+    a = ladder_lowering(FockSpace(dim))
+    n = np.arange(dim, dtype=float)
+    if joint:
+        a = np.kron(np.eye(2), a)
+        n = np.concatenate([n, n])
+    ad = a.conj().T
+    half = 0.5 * (noise.heating_rate * (2 * n + 1) + noise.dephasing_rate * n**2)
+    return (-half[:, None] * rho - rho * half[None, :]
+            + noise.heating_rate * (ad @ rho @ a + a @ rho @ ad)
+            + noise.dephasing_rate * (n[:, None] * rho * n[None, :]))
+
+
+def random_density(dim, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = m @ m.conj().T
+    return rho / np.trace(rho).real
 
 
 class TestNoiseParams:
@@ -174,6 +212,18 @@ class TestLindbladEvolve:
         assert a_mean == pytest.approx(0.3, rel=1e-3)
 
 
+class TestDissipator:
+    @pytest.mark.parametrize("joint", [False, True])
+    def test_banded_matches_dense_ladder_form(self, joint):
+        dim = 24
+        size = 2 * dim if joint else dim
+        noise = NoiseParams()
+        rho = random_density(size, seed=7)
+        ref = dense_dissipator(rho, dim, joint, noise)
+        out = _dissipator(rho, _noise_operators(dim, joint, noise))
+        assert np.max(np.abs(out - ref)) < 1e-13
+
+
 class TestRunSequence:
     def test_squeeze_antisqueeze_returns_to_ground(self):
         sp = FockSpace(96)
@@ -188,7 +238,7 @@ class TestRunSequence:
         assert out.motional_populations()[0] >= 1 - 1e-8
 
     def test_zero_noise_density_matches_pure_path(self):
-        sp = FockSpace(64)
+        sp = FockSpace(128)
         seq = PulseSequence(
             [
                 Segment("parametric", 4e-6, 0.0, G_PAPER),
@@ -236,6 +286,49 @@ class TestRunSequence:
         a_noisy = abs(out.expectation_value(a_joint))
         assert a_noisy < a_pure
         assert a_noisy > 0.8 * a_pure
+
+    def test_block_path_matches_joint_path(self):
+        # a qubit superposition makes all four N x N blocks nonzero
+        sp = FockSpace(32)
+        motion = coherent_state(Displacement(0.3), sp).amps
+        amps = np.concatenate([motion, 1j * motion]) / math.sqrt(2)
+        initial = JointState(sp, amps)
+        seq = PulseSequence(
+            [
+                Segment("parametric", 0.5 / G_PAPER, 0.0, G_PAPER),
+                Segment("displace", 5e-6, 0.4, 0.2 / 5e-6),
+                Segment("free", 10e-6),
+            ]
+        )
+        noise = NoiseParams()
+        out = run_sequence(seq, noise, initial)
+        ref = DensityOperator.from_joint(initial)
+        for segment in seq.segments:
+            H = segment_hamiltonian(segment, sp)
+            ref = lindblad_evolve(ref, H, noise, segment.duration)
+        assert np.any(out.matrix[:32, 32:]) and np.any(out.matrix[32:, :32])
+        assert np.max(np.abs(out.matrix - ref.matrix)) < 1e-10
+
+    def test_quiet_free_segment_is_identity(self):
+        sp = FockSpace(16)
+        motion = coherent_state(Displacement(0.5), sp).amps
+        initial = DensityOperator.from_joint(
+            JointState(sp, np.concatenate([motion, motion]) / math.sqrt(2))
+        )
+        seq = PulseSequence([Segment("free", 1e-3, noise_active=False)])
+        out = run_sequence(seq, NoiseParams(), initial)
+        assert np.array_equal(out.matrix, initial.matrix)
+
+    def test_tail_checked_after_each_segment(self):
+        # r = 0.95 squeezing alone overfills 32 levels (tail ~4e-5)
+        seq = PulseSequence(
+            [
+                Segment("parametric", 3e-6, 0.0, 315412.3),
+                Segment("parametric", 3e-6, math.pi, 315412.3),
+            ]
+        )
+        with pytest.raises(TruncationError):
+            run_sequence(seq, NoiseParams.none(), vacuum(FockSpace(32)))
 
     def test_trace_distance_basics(self):
         m = np.diag([1.0, 0.0])
