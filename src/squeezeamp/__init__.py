@@ -30,7 +30,6 @@ from .gaussian import (
     displaced_squeezed_populations,
     displaced_squeezed_state,
     amplify_displacement,
-    amplification_identity_check,
     squeeze_db,
     db_to_r,
     gain,

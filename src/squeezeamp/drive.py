@@ -1,5 +1,5 @@
-"""Electronic parametric drive: lab-frame time-dependent dynamics, the
-resonant rotating-wave Hamiltonian, and their numerical comparison.
+"""Electronic parametric drive: lab-frame time-dependent dynamics and their
+numerical comparison with the resonant rotating-wave approximation.
 
 The lab-frame Hamiltonian (hbar = 1, angular units) is
 
@@ -18,7 +18,8 @@ map, i.e. a Bogoliubov map a -> mu a + nu a† (`frame.FrameMap`), and the
 driven vacuum is the pure squeezed vacuum it defines.  Its fidelity to the
 RWA target and its n̄ = |nu|² are closed forms, so the check is
 truncation-free and r_effective = asinh √n̄.  `hamiltonian_lab` stays as
-the dense form that the tests' Fock-space oracle integrates.
+the dense form that the tests' Fock-space oracle integrates; the dense RWA
+Hamiltonian lives with the tests.
 """
 
 from dataclasses import dataclass
@@ -65,25 +66,6 @@ def hamiltonian_lab(p, t, space):
     return p.omega_r * (n + 0.5 * np.eye(space.dim)) - p.g * math.sin(
         p.omega_p * t - p.theta
     ) * quad
-
-
-def hamiltonian_rwa(p, space):
-    """Resonant RWA Hamiltonian i(g/2)(a² e^{-iθ} - a†² e^{iθ})."""
-    if not p.resonant:
-        raise ValueError(
-            "RWA Hamiltonian is only provided on resonance (omega_p = 2 omega_r); "
-            f"got omega_p/omega_r = {p.omega_p / p.omega_r:.6g}"
-        )
-    a = fock.ladder_lowering(space)
-    a2 = a @ a
-    return 1j * 0.5 * p.g * (a2 * np.exp(-1j * p.theta) - a2.conj().T * np.exp(1j * p.theta))
-
-
-def evolve_rwa(p, state, duration=None):
-    """Evolve a state under the RWA Hamiltonian; equals S(gt, θ) up to convention."""
-    t = p.duration if duration is None else duration
-    H = hamiltonian_rwa(p, state.space)
-    return fock.matrix_exponential_apply(H, t, state)
 
 
 def _lab_map(p, n_steps, t_final):

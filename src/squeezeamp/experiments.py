@@ -17,7 +17,6 @@ from . import __version__, fock, gaussian, spinmotion
 from .drive import DriveParams, simulate_full_vs_rwa
 from .errors import ConfigError, SqueezeAmpError
 from .fitting import (
-    FitResult,
     RabiTrace,
     contrast_and_noise,
     fit_sinusoid,
@@ -170,14 +169,18 @@ def sample_probability(p, shots, seed, experiment, index):
     """Binomial projection-noise sample of a probability.
 
     Counter-based: the Philox stream is keyed by (seed, experiment id,
-    point index), so results are independent of sweep order.  shots = 0
+    point index), so results are independent of sweep order.  `index` is
+    an int or a tuple of ints; one experiment must use tuples of one
+    length, because SeedSequence ignores trailing zero words.  shots = 0
     returns the exact probability with zero error.
     """
     p = min(max(float(p), 0.0), 1.0)
     if shots == 0:
         return p, 0.0
     exp_id = EXPERIMENT_IDS[experiment]
-    bitgen = np.random.Philox(seed=np.random.SeedSequence([int(seed), exp_id, int(index)]))
+    index = index if isinstance(index, tuple) else (index,)
+    entropy = [int(seed), exp_id, *(int(i) for i in index)]
+    bitgen = np.random.Philox(seed=np.random.SeedSequence(entropy))
     rng = np.random.Generator(bitgen)
     phat = rng.binomial(int(shots), p) / shots
     err = math.sqrt(max(phat * (1 - phat), 1e-6) / shots)
@@ -234,42 +237,43 @@ def _amplified_density(cfg, alpha_i, r, theta=0.0):
         displace_duration=cfg["displace_duration_us"] * 1e-6,
         theta=theta, frame_space=fock.FockSpace(cfg["frame_truncation"]),
     )
-    return res, res.lab_density(fock.FockSpace(cfg["lab_truncation"]))
+    return res.lab_density(fock.FockSpace(cfg["lab_truncation"]))
 
 
-def _fringe_amplitude(rho):
-    """Full PSRSB fringe contrast 2|tr rho_ud| of a motional density operator."""
-    d = rho.space.dim
-    joint = np.zeros((2 * d, 2 * d), dtype=complex)
-    joint[:d, :d] = rho.matrix
-    U = spinmotion.u_sideband(
-        spinmotion.RSB, spinmotion.SidebandPulse.pi_pulse(spinmotion.RSB, 1.0), rho.space
-    )
-    joint = U @ joint @ U.conj().T
-    return 2.0 * abs(complex(np.trace(joint[d:, :d])))
+def _contrast(cfg, alpha_i, r, theta=0.0):
+    """PSRSB fringe contrast after amplification: 2|alpha_f| f(|alpha_f|)
+    without noise, else 2|tr rho_ud| of the noisy lab density."""
+    if cfg.noiseless:
+        alpha_f = abs(gaussian.amplify_displacement(alpha_i, gaussian.SqueezeParam(r, theta)))
+        return 2.0 * alpha_f * spinmotion.f_alpha(alpha_f)
+    _, t_ud = spinmotion.rsb_readout(_amplified_density(cfg, alpha_i, r, theta))
+    return 2.0 * abs(t_ud)
 
 
-def _noiseless_contrast(alpha_f_abs):
-    return 2.0 * alpha_f_abs * spinmotion.f_alpha(alpha_f_abs)
-
-
-def _trace_times(cfg):
-    return np.arange(1, cfg["trace_points"] + 1) * cfg["trace_dt_us"] * 1e-6
+def _sampled_contrast(cfg, contrast, experiment, key_max, key_min):
+    """Contrast and error from the fringe extremes 1/2 +- C/2, sampled at the
+    indices `key_max` and `key_min`; exact with zero error at shots = 0."""
+    shots = cfg["shots"]
+    if not shots:
+        return contrast, 0.0
+    pmax, _ = sample_probability(0.5 + contrast / 2, shots, cfg["seed"], experiment, key_max)
+    pmin, _ = sample_probability(0.5 - contrast / 2, shots, cfg["seed"], experiment, key_min)
+    return contrast_and_noise(pmax, pmin, shots)
 
 
 def _synthetic_trace(cfg, populations, experiment, block_index):
     """Forward BSB signal, sampled with the configured shot count."""
-    times = _trace_times(cfg)
+    times = np.arange(1, cfg["trace_points"] + 1) * cfg["trace_dt_us"] * 1e-6
     ideal = spinmotion.bsb_signal(populations, cfg.omega_sb, cfg["bsb_decay_per_s"], times)
     shots = cfg["shots"]
     if shots == 0:
-        return RabiTrace(times, ideal, 300), True
+        return RabiTrace(times, ideal, 300)
     sampled = np.empty_like(ideal)
     for i, p in enumerate(ideal):
         sampled[i], _ = sample_probability(
             p, shots, cfg["seed"], experiment, block_index * 100_000 + i
         )
-    return RabiTrace(times, sampled, shots), False
+    return RabiTrace(times, sampled, shots)
 
 
 def run_gain_curve(cfg):
@@ -279,17 +283,15 @@ def run_gain_curve(cfg):
     failures = []
     for idx, r in enumerate(cfg["squeeze_r_list"]):
         alpha_f_ideal = abs(gaussian.amplify_displacement(alpha_i, gaussian.SqueezeParam(r)))
+        nmax = int(math.ceil(alpha_f_ideal**2 + 8 * alpha_f_ideal + 20))
         if cfg.noiseless:
-            nmax = int(math.ceil(alpha_f_ideal**2 + 8 * alpha_f_ideal + 20))
             pops = gaussian.displaced_squeezed_populations(
                 gaussian.Displacement(alpha_f_ideal), gaussian.SqueezeParam(0.0), nmax
             )
         else:
-            _, lab = _amplified_density(cfg, alpha_i, r)
-            pops = np.clip(lab.motional_populations(), 0.0, None)
-            nmax = min(lab.space.dim, int(math.ceil(alpha_f_ideal**2 + 8 * alpha_f_ideal + 20)))
-            pops = pops[:nmax]
-        trace, _ = _synthetic_trace(cfg, pops, "gain_curve", idx)
+            lab = _amplified_density(cfg, alpha_i, r)
+            pops = np.clip(lab.motional_populations()[:nmax], 0.0, None)
+        trace = _synthetic_trace(cfg, pops, "gain_curve", idx)
         row = {
             "t_us": r / cfg.g * 1e6,
             "r_ideal": r,
@@ -332,8 +334,7 @@ def run_phase_scan(cfg, r=0.0):
         alpha_f = abs(gaussian.amplify_displacement(alpha_i, gaussian.SqueezeParam(r)))
         ideal = np.array([spinmotion.psrsb_pdown_series(alpha_f, phi) for phi in phis])
     else:
-        _, lab = _amplified_density(cfg, alpha_i, r)
-        ideal = spinmotion.psrsb_fringe_density(lab, phis)
+        ideal = spinmotion.psrsb_fringe_density(_amplified_density(cfg, alpha_i, r), phis)
     rows = []
     sampled = []
     for i, (phi, p) in enumerate(zip(phis, ideal)):
@@ -358,28 +359,13 @@ def run_squeeze_phase_scan(cfg, r=None):
     alpha_i = cfg["alpha_i"]
     rows = []
     for i, theta in enumerate(thetas):
-        alpha_f = abs(
-            gaussian.amplify_displacement(alpha_i, gaussian.SqueezeParam(r, theta))
+        alpha_f = abs(gaussian.amplify_displacement(alpha_i, gaussian.SqueezeParam(r, theta)))
+        contrast, err = _sampled_contrast(
+            cfg, _contrast(cfg, alpha_i, r, theta), "squeeze_phase_scan", 2 * i, 2 * i + 1
         )
-        if cfg.noiseless:
-            contrast = _noiseless_contrast(alpha_f)
-        else:
-            _, lab = _amplified_density(cfg, alpha_i, r, theta=theta)
-            contrast = _fringe_amplitude(lab)
-        shots = cfg["shots"]
-        if shots:
-            pmax, _ = sample_probability(
-                0.5 + contrast / 2, shots, cfg["seed"], "squeeze_phase_scan", 2 * i
-            )
-            pmin, _ = sample_probability(
-                0.5 - contrast / 2, shots, cfg["seed"], "squeeze_phase_scan", 2 * i + 1
-            )
-            contrast_meas, err = contrast_and_noise(pmax, pmin, shots)
-        else:
-            contrast_meas, err = contrast, 0.0
         rows.append({
             "theta_rad": float(theta), "alpha_f_ideal": alpha_f,
-            "contrast": contrast_meas, "contrast_err": err,
+            "contrast": contrast, "contrast_err": err,
         })
     cs = [row["contrast"] for row in rows]
     summary = {
@@ -413,41 +399,25 @@ def run_contrast_vs_alpha(cfg):
     """Contrast versus displacement amplitude per squeeze duration."""
     rows = []
     slopes = {}
-    for duration_us in cfg["squeeze_durations_us"]:
+    for k, duration_us in enumerate(cfg["squeeze_durations_us"]):
         r = cfg.g * duration_us * 1e-6
-        alphas, contrasts, errors = [], [], []
+        block = []
         for j, alpha in enumerate(cfg["alpha_list"]):
-            alpha_f = abs(gaussian.amplify_displacement(alpha, gaussian.SqueezeParam(r)))
-            if cfg.noiseless:
-                contrast = _noiseless_contrast(alpha_f)
-            else:
-                _, lab = _amplified_density(cfg, alpha, r)
-                contrast = _fringe_amplitude(lab)
-            shots = cfg["shots"]
-            idx = int(duration_us * 1000) * 1000 + j
-            if shots:
-                pmax, _ = sample_probability(
-                    0.5 + contrast / 2, shots, cfg["seed"], "contrast_alpha", 2 * idx
-                )
-                pmin, _ = sample_probability(
-                    0.5 - contrast / 2, shots, cfg["seed"], "contrast_alpha", 2 * idx + 1
-                )
-                contrast_meas, err = contrast_and_noise(pmax, pmin, shots)
-            else:
-                contrast_meas, err = contrast, 1e-6
-            alphas.append(alpha)
-            contrasts.append(contrast_meas)
-            errors.append(err)
-            rows.append({
+            contrast, err = _sampled_contrast(
+                cfg, _contrast(cfg, alpha, r), "contrast_alpha", (k, j, 0), (k, j, 1)
+            )
+            block.append({
                 "t_us": duration_us, "alpha_i": alpha,
-                "contrast": contrast_meas, "contrast_err": err,
+                "contrast": contrast, "contrast_err": err,
             })
         slope, slope_err = _linear_slope(
-            alphas, contrasts, errors, cfg["contrast_threshold"]
+            [row["alpha_i"] for row in block], [row["contrast"] for row in block],
+            [row["contrast_err"] for row in block], cfg["contrast_threshold"],
         )
         slopes[f"{duration_us:g}"] = {
             "slope": slope, "slope_err": slope_err, "contrast_gain": slope / 2.0,
         }
+        rows += block
     return SweepResult(
         "contrast_alpha", ("t_us", "alpha_i", "contrast", "contrast_err"),
         tuple(rows), cfg, {"slopes": slopes},
@@ -457,23 +427,13 @@ def run_contrast_vs_alpha(cfg):
 def run_sensitivity_curve(cfg):
     """Sensitivity enhancement in dB versus squeeze duration."""
     alpha = cfg["sensitivity_alpha"]
-    if cfg.noiseless:
-        c_ref = _noiseless_contrast(alpha)
-    else:
-        _, lab_ref = _amplified_density(cfg, alpha, 0.0)
-        c_ref = _fringe_amplitude(lab_ref)
+    c_ref = _contrast(cfg, alpha, 0.0)
+    shots = cfg["shots"] if cfg["shots"] else 10**9
     rows = []
     for duration_us in cfg["squeeze_durations_us"]:
         r = cfg.g * duration_us * 1e-6
         gain_ideal = math.exp(r)
-        if cfg.noiseless:
-            c_amp = _noiseless_contrast(
-                abs(gaussian.amplify_displacement(alpha, gaussian.SqueezeParam(r)))
-            )
-        else:
-            _, lab = _amplified_density(cfg, alpha, r)
-            c_amp = _fringe_amplitude(lab)
-        shots = cfg["shots"] if cfg["shots"] else 10**9
+        c_amp = _contrast(cfg, alpha, r)
         s_amp, s_ref, enh = snr_and_enhancement(max(c_amp, 1e-12), c_ref, shots)
         rows.append({
             "t_us": duration_us, "r_ideal": r, "gain_ideal": gain_ideal,
@@ -498,29 +458,20 @@ def run_unitarity_check(cfg):
     rows = []
     for duration_us in cfg["squeeze_durations_us"]:
         r = cfg.g * duration_us * 1e-6
-        p_down_ideal = 1.0 - background
-        seq = amplification_sequence(0.0, r, cfg.g)
         if cfg.noiseless or r == 0:
-            p0 = 1.0
-            p_down_noisy = p_down_ideal
+            p0, p_down = 1.0, 1.0
         else:
             res = run_gaussian_sequence_frame(
-                seq, cfg.noise, fock.FockSpace(cfg["frame_truncation"])
+                amplification_sequence(0.0, r, cfg.g), cfg.noise,
+                fock.FockSpace(cfg["frame_truncation"]),
             )
             rho = res.lab_density(res.space)
             p0 = float(rho.motional_populations()[0])
-            d = rho.space.dim
-            joint = np.zeros((2 * d, 2 * d), dtype=complex)
-            joint[:d, :d] = rho.matrix
-            U = spinmotion.u_sideband(
-                spinmotion.RSB,
-                spinmotion.SidebandPulse.pi_pulse(spinmotion.RSB, 1.0), rho.space,
-            )
-            joint = U @ joint @ U.conj().T
-            p_down_noisy = (1.0 - background) * float(np.trace(joint[:d, :d]).real)
+            p_down, _ = spinmotion.rsb_readout(rho)
         rows.append({
             "t_us": duration_us, "r_ideal": r,
-            "p_down_noiseless": p_down_ideal, "p_down_noisy": p_down_noisy,
+            "p_down_noiseless": 1.0 - background,
+            "p_down_noisy": (1.0 - background) * p_down,
             "ground_population": p0,
         })
     columns = ("t_us", "r_ideal", "p_down_noiseless", "p_down_noisy",

@@ -18,7 +18,6 @@ import math
 import numpy as np
 
 from . import fock
-from .errors import DimensionMismatchError
 
 
 @dataclass(frozen=True)
@@ -185,29 +184,6 @@ def amplify_displacement(alpha_i, xi):
 def gain(xi):
     """Ideal gain e^r for a displacement aligned with the squeezed axis."""
     return math.exp(xi.r)
-
-
-def amplification_identity_check(alpha_i, xi, space, block=None):
-    """Frobenius distance ‖S†(ξ) D(α_i) S(ξ) - D(α_f)‖ on a central block.
-
-    The comparison covers the top-left `block` x `block` corner (default
-    dim/16).  The operator product is formed in an enlarged working space:
-    a squeezed Fock state |n> spreads to mean phonon number ~ n e^{2r}, so
-    columns computed at the nominal dimension would be corrupted by
-    reflection off the truncation edge.
-    """
-    if block is None:
-        block = max(8, space.dim // 16)
-    if block > space.dim:
-        raise DimensionMismatchError("comparison block exceeds the space dimension")
-    work_dim = max(space.dim, int(math.ceil(2 * block * math.exp(2 * xi.r))) + 128)
-    work = fock.FockSpace(work_dim)
-    S = squeeze_operator(xi, work)
-    D = displacement_operator(Displacement(alpha_i), work)
-    lhs = S.conj().T @ D @ S
-    rhs = displacement_operator(Displacement(amplify_displacement(alpha_i, xi)), work)
-    diff = lhs[:block, :block] - rhs[:block, :block]
-    return float(np.linalg.norm(diff))
 
 
 def adequate_truncation(xi, alpha_abs=0.0, eps=fock.DEFAULT_TAIL_EPS):

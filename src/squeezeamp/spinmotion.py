@@ -74,14 +74,7 @@ class JointState:
         return float(np.sum(self.motional_populations()[-levels:]))
 
     def check_tail(self, eps=fock.DEFAULT_TAIL_EPS):
-        tail = self.tail_mass()
-        if tail >= eps:
-            from .errors import TruncationError
-
-            raise TruncationError(
-                f"joint-state tail mass {tail:.3e} >= {eps:.1e} (dim={self.space.dim})"
-            )
-        return tail
+        return fock._checked_tail(self.tail_mass(), eps, self.space.dim)
 
 
 @dataclass(frozen=True)
@@ -169,6 +162,17 @@ def bsb_signal(populations, omega, gamma, times):
     return 0.5 * (1.0 + osc.sum(axis=1))
 
 
+def _rsb_pi_weights(nmax):
+    """cos^2(pi sqrt(n)/2) and cos(pi sqrt(n)/2) sin(pi sqrt(n+1)/2) for n < nmax.
+
+    At any Rabi rate an RSB pi-pulse maps |down,n> to
+    cos(pi sqrt(n)/2)|down,n> - i sin(pi sqrt(n)/2)|up,n-1>.
+    """
+    n = np.arange(nmax)
+    cos_n = np.cos(0.5 * math.pi * np.sqrt(n))
+    return cos_n**2, cos_n * np.sin(0.5 * math.pi * np.sqrt(n + 1))
+
+
 def f_alpha(alpha_abs, nmax=None):
     """Fringe-amplitude reduction factor of the exact PSRSB signal.
 
@@ -186,8 +190,7 @@ def f_alpha(alpha_abs, nmax=None):
             [math.lgamma(k + 1) for k in n]
         )
         weights = np.exp(logw)
-    half_pi = 0.5 * math.pi
-    terms = np.cos(half_pi * np.sqrt(n)) * np.sin(half_pi * np.sqrt(n + 1)) / np.sqrt(n + 1)
+    terms = _rsb_pi_weights(nmax)[1] / np.sqrt(n + 1)
     return float(np.sum(weights * terms))
 
 
@@ -220,34 +223,29 @@ def psrsb_contrast(alpha, space=None):
     return psrsb_exact_pdown(alpha, math.pi, space) - psrsb_exact_pdown(alpha, 0.0, space)
 
 
-def psrsb_fringe_density(rho, phis, rabi=1.0):
-    """PSRSB fringe P_down(phi) for a motional density operator.
+def rsb_readout(rho):
+    """P_down and tr rho_ud after an RSB pi-pulse on |down><down| (x) rho.
 
-    Lifts rho to the joint space with the qubit in |down>, applies a
-    noiseless RSB pi-pulse, and reads P_down after a carrier pi/2 pulse at
-    each phase in `phis`.  After the RSB pulse the fringe is
-    P_down(phi) = 1/2 tr(rho) + Re(-i e^{-i phi} tr rho_ud), so the scan
-    costs one joint conjugation regardless of the number of phases.
+    The pulse is block-diagonal in the pairs {|down,n+1>, |up,n>}, so in O(N):
+    P_down = sum_n cos^2(pi sqrt(n)/2) rho_nn and
+    tr rho_ud = -i sum_n cos(pi sqrt(n)/2) sin(pi sqrt(n+1)/2) rho_{n+1,n}.
+    The dense `u_sideband` is its test oracle.
     """
     if rho.kind != "motional":
-        raise ValueError("psrsb_fringe_density expects a motional density operator")
-    d = rho.space.dim
-    joint = np.zeros((2 * d, 2 * d), dtype=complex)
-    joint[:d, :d] = rho.matrix
-    U = u_sideband(RSB, SidebandPulse.pi_pulse(RSB, rabi, phase=0.0), rho.space)
-    joint = U @ joint @ U.conj().T
-    t_ud = complex(np.trace(joint[d:, :d]))
-    base = 0.5 * float(np.trace(joint).real)
+        raise ValueError("rsb_readout expects a motional density operator")
+    stay, coherence = _rsb_pi_weights(rho.space.dim)
+    p_down = float(np.sum(stay * np.diagonal(rho.matrix).real))
+    t_ud = -1j * complex(np.sum(coherence[:-1] * np.diagonal(rho.matrix, -1)))
+    return p_down, t_ud
+
+
+def psrsb_fringe_density(rho, phis):
+    """PSRSB fringe P_down(phi) of a motional density operator.
+
+    With the qubit in |down>, an RSB pi-pulse and a carrier pi/2 pulse at each
+    phase in `phis`: P_down(phi) = 1/2 tr(rho) + Re(-i e^{-i phi} tr rho_ud).
+    """
+    _, t_ud = rsb_readout(rho)
+    base = 0.5 * rho.trace.real
     phis = np.asarray(phis, dtype=float)
     return base + np.real(-1j * np.exp(-1j * phis) * t_ud)
-
-
-def psrsb_contrast_density(rho, rabi=1.0):
-    """Fringe contrast P_down(pi) - P_down(0) of a motional density operator."""
-    p = psrsb_fringe_density(rho, [math.pi, 0.0], rabi)
-    return float(p[0] - p[1])
-
-
-def rsb_direct_signal(alpha):
-    """Reference direct-RSB excitation signal, proportional to |alpha|^2."""
-    return abs(alpha) ** 2

@@ -7,9 +7,7 @@ from squeezeamp import FockSpace, SqueezeParam, fidelity, squeezed_vacuum, vacuu
 from squeezeamp import fock
 from squeezeamp.drive import (
     DriveParams,
-    evolve_rwa,
     hamiltonian_lab,
-    hamiltonian_rwa,
     simulate_full_vs_rwa,
     squeezing_rate_db_per_us,
 )
@@ -21,6 +19,25 @@ G = 2 * math.pi * 50.2e3  # paper's parametric coupling strength
 
 def resonant(g=G, theta=0.0, duration=0.0):
     return DriveParams(omega_r=WR, omega_p=2 * WR, g=g, theta=theta, duration=duration)
+
+
+def hamiltonian_rwa(p, space):
+    """Resonant RWA Hamiltonian i(g/2)(a² e^{-iθ} - a†² e^{iθ})."""
+    if not p.resonant:
+        raise ValueError(
+            "RWA Hamiltonian is only provided on resonance (omega_p = 2 omega_r); "
+            f"got omega_p/omega_r = {p.omega_p / p.omega_r:.6g}"
+        )
+    a = fock.ladder_lowering(space)
+    a2 = a @ a
+    return 1j * 0.5 * p.g * (a2 * np.exp(-1j * p.theta) - a2.conj().T * np.exp(1j * p.theta))
+
+
+def evolve_rwa(p, state, duration=None):
+    """Evolve a state under the RWA Hamiltonian; equals S(gt, θ) up to convention."""
+    t = p.duration if duration is None else duration
+    H = hamiltonian_rwa(p, state.space)
+    return fock.matrix_exponential_apply(H, t, state)
 
 
 def _integrate_lab(p, space, n_steps, t_final):

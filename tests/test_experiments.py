@@ -71,6 +71,14 @@ class TestSampling:
         b = sample_probability(0.4, 300, 7, "gain_curve", 5)
         assert a != b
 
+    def test_tuple_index(self):
+        assert sample_probability(0.4, 300, 7, "phase_scan", (5,)) == sample_probability(
+            0.4, 300, 7, "phase_scan", 5
+        )
+        a = sample_probability(0.4, 300, 7, "contrast_alpha", (0, 1, 0))
+        b = sample_probability(0.4, 300, 7, "contrast_alpha", (1, 0, 0))
+        assert a != b
+
 
 class TestGainCurve:
     def test_noiseless_matches_exponential(self):
@@ -160,6 +168,26 @@ class TestContrastVsAlpha:
         res = run_contrast_vs_alpha(cfg)
         (slope_info,) = res.summary["slopes"].values()
         assert slope_info["slope"] == pytest.approx(2 * math.e, rel=0.02)
+
+    def test_exact_contrast_has_zero_error(self):
+        cfg = noiseless(squeeze_durations_us=(0.0, 2.0), alpha_list=(0.005, 0.01))
+        assert {row["contrast_err"] for row in run_contrast_vs_alpha(cfg).rows} == {0.0}
+
+    def test_sampling_keys_do_not_collide(self, monkeypatch):
+        # durations that agree to 1 ns once shared every packed integer key
+        keys = []
+        sample = experiments.sample_probability
+
+        def spy(p, shots, seed, experiment, index):
+            keys.append(index)
+            return sample(p, shots, seed, experiment, index)
+
+        monkeypatch.setattr(experiments, "sample_probability", spy)
+        cfg = noiseless(shots=200, squeeze_durations_us=(2.0001, 2.0009),
+                        alpha_list=(0.002, 0.005, 0.01))
+        run_contrast_vs_alpha(cfg)
+        assert len(keys) == 12
+        assert len(set(keys)) == len(keys)
 
 
 class TestSensitivity:

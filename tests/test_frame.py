@@ -21,7 +21,7 @@ from squeezeamp.frame import (
     run_gaussian_sequence_frame,
 )
 from squeezeamp.lindblad import NoiseParams, PulseSequence, Segment, run_sequence
-from squeezeamp.spinmotion import psrsb_contrast, psrsb_contrast_density, psrsb_fringe_density
+from squeezeamp.spinmotion import psrsb_contrast, psrsb_fringe_density
 
 G = 2 * math.pi * 50.2e3
 
@@ -128,12 +128,13 @@ class TestDensityFringe:
     def test_contrast_of_noiseless_amplification(self):
         res = amplify_with_noise(0.055, 1.0, NoiseParams.none(), G, frame_space=FockSpace(16))
         rho = res.lab_density(FockSpace(48))
-        c = psrsb_contrast_density(rho)
-        assert c == pytest.approx(psrsb_contrast(0.055 * math.e), abs=1e-9)
+        p_max, p_min = psrsb_fringe_density(rho, [math.pi, 0.0])
+        assert p_max - p_min == pytest.approx(psrsb_contrast(0.055 * math.e), abs=1e-9)
 
     def test_noise_reduces_contrast(self):
         noisy = amplify_with_noise(0.055, 1.5, NoiseParams(), G, frame_space=FockSpace(48))
-        c_noisy = psrsb_contrast_density(noisy.lab_density(FockSpace(64)))
+        p_max, p_min = psrsb_fringe_density(noisy.lab_density(FockSpace(64)), [math.pi, 0.0])
+        c_noisy = p_max - p_min
         c_ideal = psrsb_contrast(0.055 * math.exp(1.5))
         assert c_noisy < c_ideal
         assert c_noisy > 0.3 * c_ideal

@@ -5,6 +5,7 @@ import pytest
 
 from squeezeamp import Displacement, FockSpace, SqueezeParam, coherent_state, squeezed_vacuum
 from squeezeamp.errors import DimensionMismatchError
+from squeezeamp.fock import DensityOperator
 from squeezeamp.spinmotion import (
     BSB,
     CARRIER,
@@ -17,8 +18,9 @@ from squeezeamp.spinmotion import (
     lift_carrier,
     psrsb_contrast,
     psrsb_exact_pdown,
+    psrsb_fringe_density,
     psrsb_pdown_series,
-    rsb_direct_signal,
+    rsb_readout,
     u_carrier,
     u_sideband,
 )
@@ -196,5 +198,44 @@ class TestPsrsb:
         k = errs / alphas**3
         assert np.max(k) < 2.0
 
-    def test_direct_signal(self):
-        assert rsb_direct_signal(0.5) == pytest.approx(0.25)
+
+def random_density(dim, seed):
+    """Full-rank mixed state with complex off-diagonals."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return DensityOperator(FockSpace(dim), rho / np.trace(rho).real)
+
+
+def matrix_readout(rho, rabi=1.0):
+    """Oracle: conjugate |down><down| (x) rho by the dense RSB pi-pulse."""
+    d = rho.space.dim
+    joint = np.zeros((2 * d, 2 * d), dtype=complex)
+    joint[:d, :d] = rho.matrix
+    U = u_sideband(RSB, SidebandPulse.pi_pulse(RSB, rabi), rho.space)
+    joint = U @ joint @ U.conj().T
+    return float(np.trace(joint[:d, :d]).real), complex(np.trace(joint[d:, :d]))
+
+
+class TestRsbReadout:
+    @pytest.mark.parametrize("dim", [8, 48, 96])
+    @pytest.mark.parametrize("rabi", [1.0, 2.7])
+    def test_matches_matrix_path(self, dim, rabi):
+        rho = random_density(dim, seed=dim)
+        p_down, t_ud = rsb_readout(rho)
+        p_ref, t_ref = matrix_readout(rho, rabi)
+        assert abs(p_down - p_ref) < 1e-13
+        assert abs(t_ud - t_ref) < 1e-13
+
+    def test_fringe_matches_matrix_path(self):
+        rho = random_density(48, seed=1)
+        phis = np.linspace(0.0, 2 * math.pi, 7)
+        _, t_ref = matrix_readout(rho)
+        expect = 0.5 + np.real(-1j * np.exp(-1j * phis) * t_ref)
+        assert np.max(np.abs(psrsb_fringe_density(rho, phis) - expect)) < 1e-13
+
+    def test_rejects_joint_density(self):
+        sp = FockSpace(8)
+        rho = DensityOperator(sp, np.eye(2 * sp.dim) / (2 * sp.dim), "joint")
+        with pytest.raises(ValueError):
+            rsb_readout(rho)
