@@ -279,6 +279,8 @@ def _synthetic_trace(cfg, populations, experiment, block_index):
 def run_gain_curve(cfg):
     """Gain G = alpha_f / alpha_i versus squeezing parameter r = g t."""
     alpha_i = cfg["alpha_i"]
+    if alpha_i == 0:
+        raise ConfigError("gain curve needs alpha_i != 0", key="alpha_i")
     rows = []
     failures = []
     for idx, r in enumerate(cfg["squeeze_r_list"]):

@@ -12,12 +12,24 @@ which for the Gaussian segments used here is an affine Bogoliubov transform
 of the ladder operator, a -> mu a + nu a† + c.  The frame state stays close
 to the vacuum, so a few dozen Fock levels suffice at any r.
 
-The conjugated dephasing operator Gamma^(1/2) A†A acquires matrix elements
-of order e^{2r} n, making a generic explicit integrator stiff; since it is
-Hermitian and constant within a step, its half-steps are applied exactly in
-its own eigenbasis, where off-diagonal elements decay as
-exp(-Gamma (q_i - q_j)^2 dt / 2).  Heating is mild and integrated with RK4.
-Step counts double until two resolutions agree in trace distance.
+Each step is a Strang split at the step midpoint: a dephasing half-step,
+an RK4 heating step, a dephasing half-step.  The conjugated dephasing
+operator Gamma^(1/2) A†A acquires matrix elements of order e^{2r} n, making
+a generic explicit integrator stiff; since it is Hermitian and constant
+within a step, its half-steps are exact in its own eigenbasis V_k, where the
+element (i, j) decays by exp(-Gamma dt (q_i - q_j)^2 / 4).
+
+Nothing but rho depends on the step before, so the maps, the matrices A_k
+and the eigendecompositions of A_k†A_k are built for a chunk of steps at
+once from array-valued times.  rho is carried in the eigenbasis of the
+current step: both half-steps are then elementwise products, heating runs
+on V_k† A_k V_k, and consecutive steps are joined by the one basis change
+V_(k-1)† V_k.  Without dephasing rho stays in the Fock basis.
+
+Step counts double until two resolutions agree in trace distance.  The
+splitting is second order, so the distance falls 4x per doubling: the
+first distance predicts the first pair that passes, and the doubling jumps
+there, then keeps doubling if that pair still falls short.
 """
 
 from dataclasses import dataclass
@@ -31,10 +43,19 @@ from .errors import ConvergenceError
 
 FRAME_KINDS = ("displace", "parametric", "free")
 
+#: Steps whose rho-independent work (maps, matrices, eigendecompositions) is
+#: batched together.  A chunk holds a few chunk x N x N stacks, so a larger
+#: one trades memory for fewer numpy calls.
+_CHUNK = 8
+
 
 @dataclass(frozen=True)
 class FrameMap:
-    """Affine Heisenberg map V† a V = mu a + nu a† + c."""
+    """Affine Heisenberg map V† a V = mu a + nu a† + c.
+
+    mu, nu and c may be arrays of one shape: the map then stands for a batch
+    of maps, and `lowering_matrix` returns a stack of matrices.
+    """
 
     mu: complex = 1.0
     nu: complex = 0.0
@@ -52,9 +73,11 @@ class FrameMap:
         )
 
     def lowering_matrix(self, space):
-        """Dense N x N matrix of mu a + nu a† + c on the frame space."""
+        """Dense N x N matrix of mu a + nu a† + c on the frame space, with
+        the shape of mu, nu and c in front for a batch of maps."""
         a = fock.ladder_lowering(space)
-        return self.mu * a + self.nu * a.conj().T + self.c * np.eye(space.dim)
+        mu, nu, c = (np.asarray(x)[..., None, None] for x in (self.mu, self.nu, self.c))
+        return mu * a + nu * a.conj().T + c * np.eye(space.dim)
 
     @property
     def squeeze_magnitude(self):
@@ -63,51 +86,84 @@ class FrameMap:
 
 
 def _local_affine(segment, tau):
-    """U_local(tau)† a U_local(tau) for the first `tau` seconds of a segment."""
+    """U_local(tau)† a U_local(tau) for the first `tau` seconds of a segment.
+
+    `tau` may be an array; the coefficients that depend on it follow its shape.
+    """
     if segment.kind == "free":
         return 1.0, 0.0, 0.0
     if segment.kind == "displace":
         return 1.0, 0.0, segment.strength * tau * cmath.exp(1j * segment.phase)
     if segment.kind == "parametric":
         r = segment.strength * tau
-        return math.cosh(r), -cmath.exp(1j * segment.phase) * math.sinh(r), 0.0
+        return np.cosh(r), -cmath.exp(1j * segment.phase) * np.sinh(r), 0.0
     raise ValueError(
         f"segment kind {segment.kind!r} is not Gaussian; use the dense engine for it"
     )
 
 
-def _dephase_exact(rho, q_vecs, q_vals, gamma, dt):
-    """Exact dephasing half-step in the eigenbasis of the conjugated n operator."""
-    rot = q_vecs.conj().T @ rho @ q_vecs
-    decay = np.exp(-0.5 * gamma * dt * (q_vals[:, None] - q_vals[None, :]) ** 2)
-    return q_vecs @ (rot * decay) @ q_vecs.conj().T
+def _dagger(m):
+    return m.conj().swapaxes(-1, -2)
 
 
-def _heating_dissipator(rho, A, Ad, half):
-    return A @ rho @ Ad + Ad @ rho @ A - half @ rho - rho @ half
+def _heating_step(rho, A, pair, h):
+    """RK4 step of rho' = A rho A† + A† rho A - H rho - rho H over h = rate dt,
+    with H = (A†A + A A†) / 2 and `pair` = A stacked on A† by rows.
+
+    The generator equals -(E + E†) / 2 with E = [A, [A†, rho]], and for
+    Hermitian rho [A†, rho] = A† rho - (A rho)†: four matrix products an
+    evaluation.  For this linear generator RK4 is the fourth-order Taylor
+    polynomial of the step, taken here in Horner form.
+    """
+    dim = rho.shape[0]
+    out = rho
+    for j in (4, 3, 2, 1):
+        a_out, ad_out = (pair @ out).reshape(2, dim, dim)
+        comm = ad_out - _dagger(a_out)
+        e = A @ comm - comm @ A
+        out = rho - (0.5 * h / j) * (e + _dagger(e))
+    return out
 
 
 def _segment_step_run(rho, base_map, segment, noise, n_steps):
+    """`n_steps` Strang steps of one segment from rho; see the module docstring."""
     dt = segment.duration / n_steps
     heating, gamma = noise.heating_rate, noise.dephasing_rate
-    for k in range(n_steps):
-        fmap = base_map.compose_local(*_local_affine(segment, (k + 0.5) * dt))
-        A = fmap.lowering_matrix(fock.FockSpace(rho.shape[0]))
-        Ad = A.conj().T
+    dim = rho.shape[0]
+    space = fock.FockSpace(dim)
+    basis = np.eye(dim, dtype=complex)  # rho is carried as basis† rho basis
+    for start in range(0, n_steps, _CHUNK):
+        tau = (np.arange(start, min(start + _CHUNK, n_steps)) + 0.5) * dt
+        fmap = base_map.compose_local(*_local_affine(segment, tau))
+        A = np.broadcast_to(fmap.lowering_matrix(space), tau.shape + rho.shape)
         if gamma:
-            Q = Ad @ A
-            q_vals, q_vecs = np.linalg.eigh(Q)
-            rho = _dephase_exact(rho, q_vecs, q_vals, gamma, 0.5 * dt)
+            q, V = np.linalg.eigh(_dagger(A) @ A)
+            decay = np.exp(-0.25 * gamma * dt * (q[:, :, None] - q[:, None, :]) ** 2)
+            W = _dagger(np.concatenate((basis[None], V[:-1]))) @ V
+            Wd = _dagger(W)
+            basis = V[-1]
         if heating:
-            half = 0.5 * heating * (Ad @ A + A @ Ad)
-            k1 = heating * _heating_dissipator(rho, A, Ad, half / heating)
-            k2 = heating * _heating_dissipator(rho + 0.5 * dt * k1, A, Ad, half / heating)
-            k3 = heating * _heating_dissipator(rho + 0.5 * dt * k2, A, Ad, half / heating)
-            k4 = heating * _heating_dissipator(rho + dt * k3, A, Ad, half / heating)
-            rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if gamma:
-            rho = _dephase_exact(rho, q_vecs, q_vals, gamma, 0.5 * dt)
-    return rho
+            if gamma:
+                A = _dagger(V) @ A @ V
+            pair = np.concatenate((A, _dagger(A)), axis=1)
+        for k in range(len(tau)):
+            if gamma:
+                rho = (Wd[k] @ rho @ W[k]) * decay[k]
+            if heating:
+                rho = _heating_step(rho, A[k], pair[k], heating * dt)
+            if gamma:
+                rho = rho * decay[k]
+    return basis @ rho @ _dagger(basis)
+
+
+def _predicted_coarse_steps(distance, tol, min_steps, max_steps):
+    """Coarse step count m of the first pair (m, 2m) whose distance, falling
+    4x per doubling from `distance` at (min_steps, 2 min_steps), is below tol."""
+    m = min_steps
+    while distance >= tol and 2 * m < max_steps:
+        m *= 2
+        distance /= 4
+    return m
 
 
 def evolve_frame_segment(rho, base_map, segment, noise, tol=1e-7, min_steps=32,
@@ -115,19 +171,29 @@ def evolve_frame_segment(rho, base_map, segment, noise, tol=1e-7, min_steps=32,
     """Advance the frame density matrix through one Gaussian segment.
 
     Returns (rho, map after the segment).  The coherent part is absorbed in
-    the map update; only noise touches rho.
+    the map update; only noise touches rho.  Step counts double from
+    `min_steps`, with one jump to the pair the first distance predicts, until
+    two runs agree within `tol` in trace distance; the finer run is returned.
+    ConvergenceError is raised when min_steps * 2^max_doublings steps still
+    disagree with half as many.
     """
     end_map = base_map.compose_local(*_local_affine(segment, segment.duration))
     if noise.is_zero or not segment.noise_active:
         return rho, end_map
+    max_steps = min_steps * 2**max_doublings
     n_steps = min_steps
     coarse = _segment_step_run(rho, base_map, segment, noise, n_steps)
-    for _ in range(max_doublings):
-        n_steps *= 2
-        fine = _segment_step_run(rho, base_map, segment, noise, n_steps)
-        if lindblad.trace_distance(coarse, fine) < tol:
+    while n_steps < max_steps:
+        fine = _segment_step_run(rho, base_map, segment, noise, 2 * n_steps)
+        distance = lindblad.trace_distance(coarse, fine)
+        if distance < tol:
             return fine, end_map
-        coarse = fine
+        if n_steps == min_steps:
+            jump = _predicted_coarse_steps(distance, tol, min_steps, max_steps)
+            if jump > 2 * n_steps:
+                coarse, n_steps = _segment_step_run(rho, base_map, segment, noise, jump), jump
+                continue
+        coarse, n_steps = fine, 2 * n_steps
     raise ConvergenceError(
         f"frame integration not converged after {n_steps} steps on {segment.kind}"
     )

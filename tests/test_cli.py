@@ -160,6 +160,16 @@ class TestErrorHandling:
         assert record["key"] == "bogus_key"
         assert record["line"] == 1
 
+    def test_gain_curve_with_zero_alpha_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "alpha_i = 0\nsqueeze_r_list = 0.5\n")
+        code = cli.main(["gain-curve", "--config", cfg, "--out", str(tmp_path / "g")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "ConfigError"
+        assert record["key"] == "alpha_i"
+
     def test_unknown_subcommand_rejected(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["make-coffee"])

@@ -13,14 +13,23 @@ from squeezeamp import (
     ladder_lowering,
     vacuum,
 )
+from squeezeamp import frame
+from squeezeamp.errors import ConvergenceError
 from squeezeamp.fock import DensityOperator
 from squeezeamp.frame import (
     FrameMap,
     amplification_sequence,
     amplify_with_noise,
+    evolve_frame_segment,
     run_gaussian_sequence_frame,
 )
-from squeezeamp.lindblad import NoiseParams, PulseSequence, Segment, run_sequence
+from squeezeamp.lindblad import (
+    NoiseParams,
+    PulseSequence,
+    Segment,
+    run_sequence,
+    trace_distance,
+)
 from squeezeamp.spinmotion import psrsb_contrast, psrsb_fringe_density
 
 G = 2 * math.pi * 50.2e3
@@ -138,3 +147,156 @@ class TestDensityFringe:
         c_ideal = psrsb_contrast(0.055 * math.exp(1.5))
         assert c_noisy < c_ideal
         assert c_noisy > 0.3 * c_ideal
+
+
+# --- per-step oracle of the frame engine --------------------------------------
+# One step at a time in the Fock basis: both dephasing half-steps go into the
+# eigenbasis of A†A and back, and heating is classic RK4 on the explicit
+# dissipator.  The engine batches and reorders the same arithmetic.
+
+def _dephase_exact(rho, q_vecs, q_vals, gamma, dt):
+    """Exact dephasing half-step in the eigenbasis of the conjugated n operator."""
+    rot = q_vecs.conj().T @ rho @ q_vecs
+    decay = np.exp(-0.5 * gamma * dt * (q_vals[:, None] - q_vals[None, :]) ** 2)
+    return q_vecs @ (rot * decay) @ q_vecs.conj().T
+
+
+def _heating_dissipator(rho, A, Ad, half):
+    return A @ rho @ Ad + Ad @ rho @ A - half @ rho - rho @ half
+
+
+def _oracle_step_run(rho, base_map, segment, noise, n_steps):
+    dt = segment.duration / n_steps
+    heating, gamma = noise.heating_rate, noise.dephasing_rate
+    for k in range(n_steps):
+        fmap = base_map.compose_local(*frame._local_affine(segment, (k + 0.5) * dt))
+        A = fmap.lowering_matrix(FockSpace(rho.shape[0]))
+        Ad = A.conj().T
+        if gamma:
+            Q = Ad @ A
+            q_vals, q_vecs = np.linalg.eigh(Q)
+            rho = _dephase_exact(rho, q_vecs, q_vals, gamma, 0.5 * dt)
+        if heating:
+            half = 0.5 * heating * (Ad @ A + A @ Ad)
+            k1 = heating * _heating_dissipator(rho, A, Ad, half / heating)
+            k2 = heating * _heating_dissipator(rho + 0.5 * dt * k1, A, Ad, half / heating)
+            k3 = heating * _heating_dissipator(rho + 0.5 * dt * k2, A, Ad, half / heating)
+            k4 = heating * _heating_dissipator(rho + dt * k3, A, Ad, half / heating)
+            rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if gamma:
+            rho = _dephase_exact(rho, q_vecs, q_vals, gamma, 0.5 * dt)
+    return rho
+
+
+def _mixed_state(dim, seed=7):
+    """A full-rank density matrix with coherences, weighted to low levels."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    g *= np.exp(-0.4 * np.arange(dim))[:, None]
+    rho = g @ g.conj().T
+    return rho / np.trace(rho)
+
+
+SQUEEZED_BASE = FrameMap().compose_local(
+    math.cosh(0.8), -cmath.exp(0.4j) * math.sinh(0.8), 0.0
+).compose_local(1.0, 0.0, 0.3 - 0.2j)
+# a thousand times the paper's rates, so that a few steps move the state
+STRONG_NOISE = {
+    "both": NoiseParams(2e4, 1.8e4),
+    "heating": NoiseParams(2e4, 0.0),
+    "dephasing": NoiseParams(0.0, 1.8e4),
+}
+
+
+class TestStepRunMatchesOracle:
+    @pytest.mark.parametrize("noise", sorted(STRONG_NOISE))
+    @pytest.mark.parametrize("segment, n_steps", [
+        (Segment("parametric", 0.6 / G, 1.1, G), 24),
+        (Segment("parametric", 0.6 / G, 1.1, G), 13),
+        (Segment("displace", 2e-6, 0.7, 1e5), 16),
+        (Segment("free", 2e-6, 0.0, 0.0), 11),
+    ], ids=["parametric", "parametric-13", "displace", "free-11"])
+    def test_agrees_with_per_step_oracle(self, segment, n_steps, noise):
+        noise = STRONG_NOISE[noise]
+        rho = _mixed_state(14)
+        assert SQUEEZED_BASE.c != 0
+        got = frame._segment_step_run(rho, SQUEEZED_BASE, segment, noise, n_steps)
+        want = _oracle_step_run(rho, SQUEEZED_BASE, segment, noise, n_steps)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        # the comparison is not vacuous: the noise moved the state
+        assert np.max(np.abs(want - rho)) > 1e-4
+
+
+# --- predicted doubling --------------------------------------------------------
+
+SENSITIVITY_NOISE = NoiseParams(20.0, 18.0)
+
+
+def _plain_doubling_steps(rho, base_map, segment, noise, step_run, tol=1e-7,
+                          min_steps=32, max_doublings=8):
+    """Accepted step count of doubling one level at a time."""
+    n_steps = min_steps
+    coarse = step_run(rho, base_map, segment, noise, n_steps)
+    for _ in range(max_doublings):
+        n_steps *= 2
+        fine = step_run(rho, base_map, segment, noise, n_steps)
+        if trace_distance(coarse, fine) < tol:
+            return n_steps
+        coarse = fine
+    raise ConvergenceError(f"not converged after {n_steps} steps")
+
+
+class _RecordedRuns:
+    """Step runs of the engine, memoised by (segment, step count) and logged."""
+
+    def __init__(self):
+        self.step_run = frame._segment_step_run
+        self.cache = {}
+        self.log = []
+
+    def __call__(self, rho, base_map, segment, noise, n_steps):
+        self.log.append(n_steps)
+        key = (segment, n_steps)
+        if key not in self.cache:
+            self.cache[key] = self.step_run(rho, base_map, segment, noise, n_steps)
+        return self.cache[key]
+
+
+class TestPredictedDoubling:
+    @pytest.mark.parametrize("t_us", [4.0, 6.0, 8.0])
+    def test_accepts_the_plain_doubling_count(self, t_us, monkeypatch):
+        # the noisy-sensitivity segments: alpha 0.005, 5 us displacement, N = 32
+        seq = amplification_sequence(0.005, G * t_us * 1e-6, G, 5e-6)
+        runs = _RecordedRuns()
+        monkeypatch.setattr(frame, "_segment_step_run", runs)
+        rho = np.zeros((32, 32), dtype=complex)
+        rho[0, 0] = 1.0
+        fmap = FrameMap()
+        jumped = False
+        for segment in seq.segments:
+            plain = _plain_doubling_steps(rho, fmap, segment, SENSITIVITY_NOISE, runs)
+            runs.log.clear()
+            rho, fmap = evolve_frame_segment(rho, fmap, segment, SENSITIVITY_NOISE)
+            assert runs.log[-1] == plain
+            # plain doubling runs log2(plain / 32) + 1 step counts
+            jumped |= len(runs.log) < int(math.log2(plain // 32)) + 1
+        assert jumped == (t_us > 4.0)  # the 6 and 8 us squeezes skip levels
+
+    @pytest.mark.parametrize("max_doublings, expect", [
+        (3, [32, 64, 128, 256]),
+        (5, [32, 64, 512, 1024]),
+    ])
+    def test_too_tight_tol_raises_at_the_last_level(self, max_doublings, expect,
+                                                    monkeypatch):
+        runs = _RecordedRuns()
+        monkeypatch.setattr(frame, "_segment_step_run", runs)
+        rho = np.zeros((16, 16), dtype=complex)
+        rho[0, 0] = 1.0
+        segment = Segment("parametric", 0.3 / G, 0.0, G)
+        with pytest.raises(ConvergenceError, match=f"after {32 * 2**max_doublings} steps"):
+            evolve_frame_segment(rho, FrameMap(), segment, SENSITIVITY_NOISE, tol=1e-30,
+                                 max_doublings=max_doublings)
+        assert runs.log == expect
+        with pytest.raises(ConvergenceError, match=f"after {32 * 2**max_doublings} steps"):
+            _plain_doubling_steps(rho, FrameMap(), segment, SENSITIVITY_NOISE, runs,
+                                  tol=1e-30, max_doublings=max_doublings)
