@@ -97,8 +97,15 @@ class ExperimentConfig:
             merged[key] = int(merged[key])
             if merged[key] < 0:
                 raise ConfigError(f"config key {key!r} must be >= 0", key=key)
-        for key in ("omega_r_mhz", "g_khz", "omega_sb_khz", "heating_quanta_per_s",
-                    "dephasing_per_s", "displace_duration_us", "bsb_decay_per_s"):
+        # rates and ratios that the sweeps divide by; `not > 0` also rejects NaN
+        for key in ("omega_r_mhz", "g_khz", "omega_sb_khz"):
+            if not float(merged[key]) > 0:
+                raise ConfigError(f"config key {key!r} must be > 0", key=key)
+        if not all(float(x) > 0 for x in merged["rwa_ratio_list"]):
+            raise ConfigError("config key 'rwa_ratio_list' entries must be > 0",
+                              key="rwa_ratio_list")
+        for key in ("heating_quanta_per_s", "dephasing_per_s", "displace_duration_us",
+                    "bsb_decay_per_s"):
             if float(merged[key]) < 0:
                 raise ConfigError(f"config key {key!r} must be >= 0", key=key)
         object.__setattr__(self, "values", merged)

@@ -26,14 +26,19 @@ current step: both half-steps are then elementwise products, heating runs
 on V_k† A_k V_k, and consecutive steps are joined by the one basis change
 V_(k-1)† V_k.  Without dephasing rho stays in the Fock basis.
 
-Step counts double until two resolutions agree in trace distance.  The
-splitting is second order, so the distance falls 4x per doubling: the
-first distance predicts the first pair that passes, and the doubling jumps
-there, then keeps doubling if that pair still falls short.
+Every step is symmetric (the generator is frozen at the step midpoint and
+the dephasing half-steps are exact), so the error of n steps expands in even
+powers of dt; RK4 heating breaks the symmetry only at dt^5 a step.  Strang
+runs at n, 2n, 4n, ... steps are Richardson-extrapolated pairwise,
+R(n) = (4 S(2n) - S(n)) / 3, which cancels the dt^2 term, and the doubling
+stops when two successive extrapolations agree in trace distance.  No
+substep runs backwards, as in higher-order compositions: a negative
+dephasing step would grow coherences by exp(+Gamma |dt| q^2 / 4).
 """
 
 from dataclasses import dataclass
 import cmath
+import logging
 import math
 
 import numpy as np
@@ -42,6 +47,8 @@ from . import fock, gaussian, lindblad
 from .errors import ConvergenceError
 
 FRAME_KINDS = ("displace", "parametric", "free")
+
+_log = logging.getLogger(__name__)
 
 #: Steps whose rho-independent work (maps, matrices, eigendecompositions) is
 #: batched together.  A chunk holds a few chunk x N x N stacks, so a larger
@@ -156,44 +163,34 @@ def _segment_step_run(rho, base_map, segment, noise, n_steps):
     return basis @ rho @ _dagger(basis)
 
 
-def _predicted_coarse_steps(distance, tol, min_steps, max_steps):
-    """Coarse step count m of the first pair (m, 2m) whose distance, falling
-    4x per doubling from `distance` at (min_steps, 2 min_steps), is below tol."""
-    m = min_steps
-    while distance >= tol and 2 * m < max_steps:
-        m *= 2
-        distance /= 4
-    return m
-
-
 def evolve_frame_segment(rho, base_map, segment, noise, tol=1e-7, min_steps=32,
                          max_doublings=8):
     """Advance the frame density matrix through one Gaussian segment.
 
     Returns (rho, map after the segment).  The coherent part is absorbed in
-    the map update; only noise touches rho.  Step counts double from
-    `min_steps`, with one jump to the pair the first distance predicts, until
-    two runs agree within `tol` in trace distance; the finer run is returned.
-    ConvergenceError is raised when min_steps * 2^max_doublings steps still
-    disagree with half as many.
+    the map update; only noise touches rho.  Strang runs double from
+    `min_steps`, and each adjacent pair (S(n), S(2n)) is extrapolated to
+    R(n) = (4 S(2n) - S(n)) / 3.  R(2n) is returned once it agrees with R(n)
+    within `tol` in trace distance.  ConvergenceError is raised when the next
+    run would exceed min_steps * 2^max_doublings steps.
     """
     end_map = base_map.compose_local(*_local_affine(segment, segment.duration))
     if noise.is_zero or not segment.noise_active:
         return rho, end_map
-    max_steps = min_steps * 2**max_doublings
     n_steps = min_steps
     coarse = _segment_step_run(rho, base_map, segment, noise, n_steps)
-    while n_steps < max_steps:
-        fine = _segment_step_run(rho, base_map, segment, noise, 2 * n_steps)
-        distance = lindblad.trace_distance(coarse, fine)
-        if distance < tol:
-            return fine, end_map
-        if n_steps == min_steps:
-            jump = _predicted_coarse_steps(distance, tol, min_steps, max_steps)
-            if jump > 2 * n_steps:
-                coarse, n_steps = _segment_step_run(rho, base_map, segment, noise, jump), jump
-                continue
-        coarse, n_steps = fine, 2 * n_steps
+    previous = None
+    for _ in range(max_doublings):
+        n_steps *= 2
+        fine = _segment_step_run(rho, base_map, segment, noise, n_steps)
+        extrapolated = (4.0 * fine - coarse) / 3.0
+        if previous is not None:
+            distance = lindblad.trace_distance(previous, extrapolated)
+            if distance < tol:
+                _log.debug("frame %s segment converged at %d steps, distance %.3g",
+                           segment.kind, n_steps, distance)
+                return extrapolated, end_map
+        coarse, previous = fine, extrapolated
     raise ConvergenceError(
         f"frame integration not converged after {n_steps} steps on {segment.kind}"
     )

@@ -170,6 +170,27 @@ class TestErrorHandling:
         assert record["error"] == "ConfigError"
         assert record["key"] == "alpha_i"
 
+    @pytest.mark.parametrize("command", ["gain-curve", "rwa-check", "sensitivity"])
+    @pytest.mark.parametrize("key, value", [
+        ("g_khz", "0"),
+        ("g_khz", "nan"),
+        ("omega_sb_khz", "0"),
+        ("omega_r_mhz", "0"),
+        ("omega_r_mhz", "-6.3"),
+        ("rwa_ratio_list", "0"),
+        ("rwa_ratio_list", "0.05,-0.1"),
+    ])
+    def test_non_positive_rate_is_config_error(self, tmp_path, capsys, command, key,
+                                               value):
+        cfg = write_config(tmp_path, f"{key} = {value}\n")
+        code = cli.main([command, "--config", cfg, "--out", str(tmp_path / "x")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "ConfigError"
+        assert record["key"] == key
+
     def test_unknown_subcommand_rejected(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["make-coffee"])

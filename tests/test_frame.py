@@ -1,4 +1,5 @@
 import cmath
+import logging
 import math
 
 import numpy as np
@@ -227,76 +228,97 @@ class TestStepRunMatchesOracle:
         assert np.max(np.abs(want - rho)) > 1e-4
 
 
-# --- predicted doubling --------------------------------------------------------
+# --- extrapolated doubling ----------------------------------------------------
 
 SENSITIVITY_NOISE = NoiseParams(20.0, 18.0)
 
 
 def _plain_doubling_steps(rho, base_map, segment, noise, step_run, tol=1e-7,
                           min_steps=32, max_doublings=8):
-    """Accepted step count of doubling one level at a time."""
+    """Accepted step count and state of plain Strang doubling, one level at a time."""
     n_steps = min_steps
     coarse = step_run(rho, base_map, segment, noise, n_steps)
     for _ in range(max_doublings):
         n_steps *= 2
         fine = step_run(rho, base_map, segment, noise, n_steps)
         if trace_distance(coarse, fine) < tol:
-            return n_steps
+            return n_steps, fine
         coarse = fine
     raise ConvergenceError(f"not converged after {n_steps} steps")
 
 
 class _RecordedRuns:
-    """Step runs of the engine, memoised by (segment, step count) and logged."""
+    """Step runs of the engine, logged by step count."""
 
     def __init__(self):
         self.step_run = frame._segment_step_run
-        self.cache = {}
         self.log = []
 
     def __call__(self, rho, base_map, segment, noise, n_steps):
         self.log.append(n_steps)
-        key = (segment, n_steps)
-        if key not in self.cache:
-            self.cache[key] = self.step_run(rho, base_map, segment, noise, n_steps)
-        return self.cache[key]
+        return self.step_run(rho, base_map, segment, noise, n_steps)
 
 
-class TestPredictedDoubling:
-    @pytest.mark.parametrize("t_us", [4.0, 6.0, 8.0])
-    def test_accepts_the_plain_doubling_count(self, t_us, monkeypatch):
-        # the noisy-sensitivity segments: alpha 0.005, 5 us displacement, N = 32
-        seq = amplification_sequence(0.005, G * t_us * 1e-6, G, 5e-6)
-        runs = _RecordedRuns()
-        monkeypatch.setattr(frame, "_segment_step_run", runs)
-        rho = np.zeros((32, 32), dtype=complex)
-        rho[0, 0] = 1.0
-        fmap = FrameMap()
-        jumped = False
-        for segment in seq.segments:
-            plain = _plain_doubling_steps(rho, fmap, segment, SENSITIVITY_NOISE, runs)
-            runs.log.clear()
-            rho, fmap = evolve_frame_segment(rho, fmap, segment, SENSITIVITY_NOISE)
-            assert runs.log[-1] == plain
-            # plain doubling runs log2(plain / 32) + 1 step counts
-            jumped |= len(runs.log) < int(math.log2(plain // 32)) + 1
-        assert jumped == (t_us > 4.0)  # the 6 and 8 us squeezes skip levels
+def _ground(dim):
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[0, 0] = 1.0
+    return rho
+
+
+def _pre_squeeze(t_us):
+    """The noisy-sensitivity pre-squeeze of t_us microseconds."""
+    return amplification_sequence(0.005, G * t_us * 1e-6, G, 5e-6).segments[0]
+
+
+class TestExtrapolatedDoubling:
+    @pytest.mark.parametrize("t_us", [2.0, 4.0])
+    def test_closer_to_tight_plain_doubling_than_plain_at_same_tol(self, t_us):
+        rho, segment = _ground(12), _pre_squeeze(t_us)
+        _, tight = _plain_doubling_steps(rho, FrameMap(), segment, SENSITIVITY_NOISE,
+                                         frame._segment_step_run, tol=1e-10)
+        _, loose = _plain_doubling_steps(rho, FrameMap(), segment, SENSITIVITY_NOISE,
+                                         frame._segment_step_run)
+        got, _ = evolve_frame_segment(rho, FrameMap(), segment, SENSITIVITY_NOISE)
+        assert trace_distance(got, tight) <= 1e-8
+        assert trace_distance(got, tight) < trace_distance(loose, tight)
+
+    def test_extrapolation_is_fourth_order(self):
+        # Strang steps are symmetric, so the error is even in dt and one
+        # extrapolation leaves dt^4: its distances fall 2^4 per doubling
+        rho, segment = _ground(12), _pre_squeeze(6.0)
+        runs = [frame._segment_step_run(rho, FrameMap(), segment, SENSITIVITY_NOISE, 32 * 2**k)
+                for k in range(4)]
+        extrapolated = [(4 * fine - coarse) / 3 for coarse, fine in zip(runs, runs[1:])]
+        d = [trace_distance(a, b) for a, b in zip(extrapolated, extrapolated[1:])]
+        assert 12 < d[0] / d[1] < 20
 
     @pytest.mark.parametrize("max_doublings, expect", [
         (3, [32, 64, 128, 256]),
-        (5, [32, 64, 512, 1024]),
+        (5, [32, 64, 128, 256, 512, 1024]),
     ])
     def test_too_tight_tol_raises_at_the_last_level(self, max_doublings, expect,
                                                     monkeypatch):
         runs = _RecordedRuns()
         monkeypatch.setattr(frame, "_segment_step_run", runs)
-        rho = np.zeros((16, 16), dtype=complex)
-        rho[0, 0] = 1.0
         segment = Segment("parametric", 0.3 / G, 0.0, G)
-        with pytest.raises(ConvergenceError, match=f"after {32 * 2**max_doublings} steps"):
-            evolve_frame_segment(rho, FrameMap(), segment, SENSITIVITY_NOISE, tol=1e-30,
-                                 max_doublings=max_doublings)
+        with pytest.raises(ConvergenceError, match=f"after {expect[-1]} steps"):
+            evolve_frame_segment(_ground(16), FrameMap(), segment, SENSITIVITY_NOISE,
+                                 tol=1e-30, max_doublings=max_doublings)
+        # each run feeds two extrapolations, so no step count is run twice
         assert runs.log == expect
-        with pytest.raises(ConvergenceError, match=f"after {32 * 2**max_doublings} steps"):
-            _plain_doubling_steps(rho, FrameMap(), segment, SENSITIVITY_NOISE, runs,
-                                  tol=1e-30, max_doublings=max_doublings)
+
+    def test_logs_one_debug_record_per_converged_segment(self, caplog, monkeypatch):
+        runs = _RecordedRuns()
+        monkeypatch.setattr(frame, "_segment_step_run", runs)
+        seq = amplification_sequence(0.005, G * 2e-6, G, 5e-6)
+        with caplog.at_level(logging.DEBUG, logger=frame.__name__):
+            run_gaussian_sequence_frame(seq, SENSITIVITY_NOISE, space=FockSpace(12))
+        # a segment's runs start again at min_steps; its last run is the finest
+        finest = [n for n, nxt in zip(runs.log, runs.log[1:] + [32]) if nxt == 32]
+        records = [r for r in caplog.records if r.name == frame.__name__]
+        assert len(records) == len(finest) == len(seq.segments)
+        for record, segment, n_steps in zip(records, seq.segments, finest):
+            message = record.getMessage()
+            assert record.levelno == logging.DEBUG
+            assert segment.kind in message and f"{n_steps} steps" in message
+            assert float(message.rsplit(" ", 1)[1]) < 1e-7
