@@ -69,6 +69,13 @@ CONFIG_DEFAULTS = {
 _INT_KEYS = {"shots", "seed", "frame_truncation", "lab_truncation", "phi_points",
              "theta_points", "trace_points"}
 _LIST_KEYS = {"squeeze_r_list", "squeeze_durations_us", "alpha_list", "rwa_ratio_list"}
+# what the sweeps need: rates to divide by, counts, rates and durations >= 0,
+# and enough points (or list entries)
+_POSITIVE_KEYS = {"omega_r_mhz", "g_khz", "omega_sb_khz", "rwa_ratio_list"}
+_NON_NEGATIVE_KEYS = _INT_KEYS | {"heating_quanta_per_s", "dephasing_per_s", "bsb_decay_per_s",
+                                  "displace_duration_us", "squeeze_durations_us"}
+_MIN_POINTS = {"trace_points": 1, "theta_points": 1, "phi_points": 8,
+               "squeeze_durations_us": 1, "alpha_list": 2}
 
 
 def _format_value(value):
@@ -92,22 +99,17 @@ class ExperimentConfig:
         for key, val in self.values.items():
             if key not in CONFIG_DEFAULTS:
                 raise ConfigError(f"unknown config key {key!r}", key=key)
-            merged[key] = val
-        for key in _INT_KEYS:
-            merged[key] = int(merged[key])
-            if merged[key] < 0:
-                raise ConfigError(f"config key {key!r} must be >= 0", key=key)
-        # rates and ratios that the sweeps divide by; `not > 0` also rejects NaN
-        for key in ("omega_r_mhz", "g_khz", "omega_sb_khz"):
-            if not float(merged[key]) > 0:
+            merged[key] = val = int(val) if key in _INT_KEYS else val
+            entries = [float(x) for x in (val if key in _LIST_KEYS else (val,))]
+            if not all(map(math.isfinite, entries)):
+                raise ConfigError(f"config key {key!r} must be finite", key=key)
+            if key in _POSITIVE_KEYS and any(x <= 0 for x in entries):
                 raise ConfigError(f"config key {key!r} must be > 0", key=key)
-        if not all(float(x) > 0 for x in merged["rwa_ratio_list"]):
-            raise ConfigError("config key 'rwa_ratio_list' entries must be > 0",
-                              key="rwa_ratio_list")
-        for key in ("heating_quanta_per_s", "dephasing_per_s", "displace_duration_us",
-                    "bsb_decay_per_s"):
-            if float(merged[key]) < 0:
+            if key in _NON_NEGATIVE_KEYS and any(x < 0 for x in entries):
                 raise ConfigError(f"config key {key!r} must be >= 0", key=key)
+            least = _MIN_POINTS.get(key, 0)
+            if (val if key in _INT_KEYS else len(entries)) < least:
+                raise ConfigError(f"config key {key!r} needs >= {least} points", key=key)
         object.__setattr__(self, "values", merged)
 
     def __getitem__(self, key):
@@ -336,8 +338,6 @@ def run_gain_curve(cfg):
 def run_phase_scan(cfg, r=0.0):
     """PSRSB fringe P_down(phi) for a displacement, optionally amplified."""
     phis = np.linspace(0.0, 2 * math.pi, cfg["phi_points"], endpoint=False)
-    if len(phis) < 8:
-        raise ConfigError("phase scan needs phi_points >= 8", key="phi_points")
     alpha_i = cfg["alpha_i"]
     if cfg.noiseless or (r == 0.0 and alpha_i == 0.0):
         alpha_f = abs(gaussian.amplify_displacement(alpha_i, gaussian.SqueezeParam(r)))

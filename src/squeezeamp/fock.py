@@ -29,9 +29,6 @@ class FockSpace:
         if self.dim < 2:
             raise ValueError(f"Fock-space dimension must be >= 2, got {self.dim}")
 
-    def doubled(self):
-        return FockSpace(2 * self.dim)
-
 
 def ladder_lowering(space):
     """Annihilation operator a with a|n> = sqrt(n)|n-1>."""

@@ -27,28 +27,22 @@ on V_k† A_k V_k, and consecutive steps are joined by the one basis change
 V_(k-1)† V_k.  Without dephasing rho stays in the Fock basis.
 
 Every step is symmetric (the generator is frozen at the step midpoint and
-the dephasing half-steps are exact), so the error of n steps expands in even
-powers of dt; RK4 heating breaks the symmetry only at dt^5 a step.  Strang
-runs at n, 2n, 4n, ... steps are Richardson-extrapolated pairwise,
-R(n) = (4 S(2n) - S(n)) / 3, which cancels the dt^2 term, and the doubling
-stops when two successive extrapolations agree in trace distance.  No
-substep runs backwards, as in higher-order compositions: a negative
-dephasing step would grow coherences by exp(+Gamma |dt| q^2 / 4).
+the dephasing half-steps are exact; RK4 heating breaks the symmetry only at
+dt^5 a step), as `lindblad.extrapolated_doubling`, the step controller both
+noisy engines share, requires.  No substep runs backwards, as in higher-order
+compositions: a negative dephasing step would grow coherences by
+exp(+Gamma |dt| q^2 / 4).
 """
 
 from dataclasses import dataclass
 import cmath
-import logging
 import math
 
 import numpy as np
 
 from . import fock, gaussian, lindblad
-from .errors import ConvergenceError
 
 FRAME_KINDS = ("displace", "parametric", "free")
-
-_log = logging.getLogger(__name__)
 
 #: Steps whose rho-independent work (maps, matrices, eigendecompositions) is
 #: batched together.  A chunk holds a few chunk x N x N stacks, so a larger
@@ -163,37 +157,21 @@ def _segment_step_run(rho, base_map, segment, noise, n_steps):
     return basis @ rho @ _dagger(basis)
 
 
-def evolve_frame_segment(rho, base_map, segment, noise, tol=1e-7, min_steps=32,
-                         max_doublings=8):
+def evolve_frame_segment(rho, base_map, segment, noise, tol=1e-7, min_steps=4,
+                         max_doublings=11):
     """Advance the frame density matrix through one Gaussian segment.
 
     Returns (rho, map after the segment).  The coherent part is absorbed in
     the map update; only noise touches rho.  Strang runs double from
-    `min_steps`, and each adjacent pair (S(n), S(2n)) is extrapolated to
-    R(n) = (4 S(2n) - S(n)) / 3.  R(2n) is returned once it agrees with R(n)
-    within `tol` in trace distance.  ConvergenceError is raised when the next
-    run would exceed min_steps * 2^max_doublings steps.
+    `min_steps` under `lindblad.extrapolated_doubling` until two
+    extrapolations agree within `tol`, up to min_steps * 2^max_doublings steps.
     """
     end_map = base_map.compose_local(*_local_affine(segment, segment.duration))
     if noise.is_zero or not segment.noise_active:
         return rho, end_map
-    n_steps = min_steps
-    coarse = _segment_step_run(rho, base_map, segment, noise, n_steps)
-    previous = None
-    for _ in range(max_doublings):
-        n_steps *= 2
-        fine = _segment_step_run(rho, base_map, segment, noise, n_steps)
-        extrapolated = (4.0 * fine - coarse) / 3.0
-        if previous is not None:
-            distance = lindblad.trace_distance(previous, extrapolated)
-            if distance < tol:
-                _log.debug("frame %s segment converged at %d steps, distance %.3g",
-                           segment.kind, n_steps, distance)
-                return extrapolated, end_map
-        coarse, previous = fine, extrapolated
-    raise ConvergenceError(
-        f"frame integration not converged after {n_steps} steps on {segment.kind}"
-    )
+    return lindblad.extrapolated_doubling(
+        lambda n_steps: _segment_step_run(rho, base_map, segment, noise, n_steps),
+        tol, min_steps, min_steps * 2**max_doublings, "frame", segment.kind), end_map
 
 
 @dataclass(frozen=True)

@@ -191,6 +191,34 @@ class TestErrorHandling:
         assert record["error"] == "ConfigError"
         assert record["key"] == key
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("contrast-alpha", "alpha_list", "0.01"),
+        ("contrast-alpha", "alpha_list", ""),
+        ("sensitivity", "squeeze_durations_us", ""),
+        ("unitarity", "squeeze_durations_us", "-2"),
+        ("unitarity", "squeeze_durations_us", "2,nan"),
+        ("contrast-alpha", "squeeze_durations_us", "inf"),
+        ("gain-curve", "trace_points", "0"),
+        ("squeeze-phase-scan", "theta_points", "0"),
+        ("sensitivity", "phi_points", "4"),
+        ("gain-curve", "alpha_i", "nan"),
+        ("phase-scan", "alpha_i", "inf"),
+        ("squeeze-phase-scan", "alpha_i", "-inf"),
+        ("sensitivity", "sensitivity_alpha", "nan"),
+        ("gain-curve", "squeeze_r_list", "0.5,inf"),
+    ])
+    def test_unusable_sweep_key_is_config_error(self, tmp_path, capsys, command, key,
+                                                value):
+        cfg = write_config(tmp_path, f"{key} = {value}\n")
+        code = cli.main([command, "--config", cfg, "--out", str(tmp_path / "x")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "ConfigError"
+        assert record["key"] == key
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_subcommand_rejected(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["make-coffee"])

@@ -14,7 +14,7 @@ from squeezeamp import (
     ladder_lowering,
     vacuum,
 )
-from squeezeamp import frame
+from squeezeamp import frame, lindblad
 from squeezeamp.errors import ConvergenceError
 from squeezeamp.fock import DensityOperator
 from squeezeamp.frame import (
@@ -293,8 +293,8 @@ class TestExtrapolatedDoubling:
         assert 12 < d[0] / d[1] < 20
 
     @pytest.mark.parametrize("max_doublings, expect", [
-        (3, [32, 64, 128, 256]),
-        (5, [32, 64, 128, 256, 512, 1024]),
+        (3, [4, 8, 16, 32]),
+        (5, [4, 8, 16, 32, 64, 128]),
     ])
     def test_too_tight_tol_raises_at_the_last_level(self, max_doublings, expect,
                                                     monkeypatch):
@@ -307,18 +307,34 @@ class TestExtrapolatedDoubling:
         # each run feeds two extrapolations, so no step count is run twice
         assert runs.log == expect
 
+    @pytest.mark.parametrize("min_steps, max_doublings", [(4, 1), (4, 0), (0, 11)])
+    def test_schedule_without_one_check_is_value_error(self, min_steps, max_doublings,
+                                                       monkeypatch):
+        runs = _RecordedRuns()
+        monkeypatch.setattr(frame, "_segment_step_run", runs)
+        segment = Segment("parametric", 0.3 / G, 0.0, G)
+        with pytest.raises(ValueError):
+            evolve_frame_segment(_ground(8), FrameMap(), segment, SENSITIVITY_NOISE,
+                                 min_steps=min_steps, max_doublings=max_doublings)
+        assert runs.log == []
+
     def test_logs_one_debug_record_per_converged_segment(self, caplog, monkeypatch):
         runs = _RecordedRuns()
         monkeypatch.setattr(frame, "_segment_step_run", runs)
         seq = amplification_sequence(0.005, G * 2e-6, G, 5e-6)
-        with caplog.at_level(logging.DEBUG, logger=frame.__name__):
+        with caplog.at_level(logging.DEBUG, logger=lindblad.__name__):
             run_gaussian_sequence_frame(seq, SENSITIVITY_NOISE, space=FockSpace(12))
-        # a segment's runs start again at min_steps; its last run is the finest
-        finest = [n for n, nxt in zip(runs.log, runs.log[1:] + [32]) if nxt == 32]
-        records = [r for r in caplog.records if r.name == frame.__name__]
-        assert len(records) == len(finest) == len(seq.segments)
-        for record, segment, n_steps in zip(records, seq.segments, finest):
+        # a segment's runs start again at min_steps = 4
+        starts = [i for i, n in enumerate(runs.log) if n == 4] + [len(runs.log)]
+        per_segment = [runs.log[i:j] for i, j in zip(starts, starts[1:])]
+        records = [r for r in caplog.records if r.name == lindblad.__name__]
+        assert len(records) == len(per_segment) == len(seq.segments)
+        for record, segment, steps in zip(records, seq.segments, per_segment):
             message = record.getMessage()
             assert record.levelno == logging.DEBUG
-            assert segment.kind in message and f"{n_steps} steps" in message
-            assert float(message.rsplit(" ", 1)[1]) < 1e-7
+            assert (record.engine, record.kind) == ("frame", segment.kind)
+            assert record.steps == tuple(steps)
+            assert f"frame {segment.kind}" in message
+            assert "/".join(map(str, steps)) in message
+            assert record.distance < 1e-7
+            assert float(message.rsplit(" ", 1)[1]) == pytest.approx(record.distance, rel=1e-2)

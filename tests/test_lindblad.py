@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -14,14 +15,17 @@ from squeezeamp import (
     squeezed_vacuum,
     vacuum,
 )
-from squeezeamp.errors import ConfigError, TruncationError
+from squeezeamp import lindblad
+from squeezeamp.errors import ConfigError, ConvergenceError, TruncationError
 from squeezeamp.fock import DensityOperator, hermitian_propagator
 from squeezeamp.lindblad import (
     NoiseParams,
     PulseSequence,
     Segment,
     _dissipator,
+    _motional_hamiltonian,
     _noise_operators,
+    _strang_run,
     lindblad_evolve,
     run_sequence,
     segment_hamiltonian,
@@ -334,3 +338,102 @@ class TestRunSequence:
         m = np.diag([1.0, 0.0])
         assert trace_distance(m, m) == 0.0
         assert trace_distance(m, np.diag([0.0, 1.0])) == pytest.approx(1.0)
+
+
+# --- extrapolated doubling ----------------------------------------------------
+
+# the dense-sequence benchmark's segments, at a fixed displacement
+DENSE_SEQUENCE = PulseSequence([
+    Segment("parametric", 2e-6, 0.0, G_PAPER),
+    Segment("displace", 5e-6, 1.3, 4e4),
+    Segment("parametric", 2e-6, math.pi, G_PAPER),
+    Segment("free", 20e-6),
+])
+
+
+def _plain_doubling_evolve(rho, H, noise, t, tol=1e-7):
+    """Plain Strang doubling from max(16, ceil(t / 1 us)) steps, accepting the
+    finer of two runs that agree within `tol` (oracle for lindblad_evolve)."""
+    ops = _noise_operators(rho.space.dim, rho.kind == "joint", noise)
+    n_steps = max(16, math.ceil(t / 1e-6))
+    coarse = _strang_run(rho.matrix, H, ops, t, n_steps)
+    for _ in range(10):
+        n_steps *= 2
+        fine = _strang_run(rho.matrix, H, ops, t, n_steps)
+        if trace_distance(coarse, fine) < tol:
+            return DensityOperator(rho.space, fine, rho.kind)
+        coarse = fine
+    raise ConvergenceError(f"not converged after {n_steps} steps")
+
+
+class _RecordedStrang:
+    """Strang runs of the dense engine, logged by step count."""
+
+    def __init__(self):
+        self.log = []
+
+    def __call__(self, rho, H, ops, t, n_steps):
+        self.log.append(n_steps)
+        return _strang_run(rho, H, ops, t, n_steps)
+
+
+def _squeeze_block(dim, t=2e-6):
+    """Vacuum and the Hamiltonian of a noisy-sequence squeeze on one N x N block."""
+    space = FockSpace(dim)
+    H = _motional_hamiltonian(Segment("parametric", t, 0.3, G_PAPER), space)
+    return DensityOperator.from_motional(vacuum(space)), H
+
+
+class TestExtrapolatedDoubling:
+    def test_extrapolation_is_fourth_order(self):
+        # the unitary half-steps are exact around one RK4 step, so the error
+        # is even in dt and one extrapolation leaves dt^4
+        rho, H = _squeeze_block(24)
+        ops = _noise_operators(24, False, NoiseParams())
+        runs = [_strang_run(rho.matrix, H, ops, 2e-6, 4 * 2**k) for k in range(4)]
+        extrapolated = [(4 * fine - coarse) / 3 for coarse, fine in zip(runs, runs[1:])]
+        d = [trace_distance(a, b) for a, b in zip(extrapolated, extrapolated[1:])]
+        assert 12 < d[0] / d[1] < 20
+
+    def test_sequence_near_tight_run_and_closer_than_plain_doubling(self, monkeypatch):
+        initial = JointState.from_motional(vacuum(FockSpace(40)), "down")
+        noise = NoiseParams()
+        tight = run_sequence(DENSE_SEQUENCE, noise, initial, tol=1e-12).matrix
+        got = run_sequence(DENSE_SEQUENCE, noise, initial).matrix
+        monkeypatch.setattr(lindblad, "lindblad_evolve", _plain_doubling_evolve)
+        plain = run_sequence(DENSE_SEQUENCE, noise, initial).matrix
+        assert trace_distance(got, tight) <= 1e-9
+        assert trace_distance(got, tight) < trace_distance(plain, tight)
+
+    @pytest.mark.parametrize("t, max_doublings, expect", [
+        (2e-6, 2, [4, 8, 16, 32, 64]),  # ceiling 16 * 2^2
+        (40e-6, 1, [4, 8, 16, 32, 64, 128]),  # ceiling 40 * 2, passed at 128
+        (2e-6, 10, [4 * 2**k for k in range(13)]),  # the default, 16 * 2^10
+    ])
+    def test_too_tight_tol_raises_at_the_ceiling(self, t, max_doublings, expect,
+                                                 monkeypatch):
+        runs = _RecordedStrang()
+        monkeypatch.setattr(lindblad, "_strang_run", runs)
+        rho, H = _squeeze_block(6, t)
+        with pytest.raises(ConvergenceError, match=f"after {expect[-1]} steps"):
+            lindblad_evolve(rho, H, NoiseParams(), t, tol=1e-30,
+                            max_doublings=max_doublings)
+        # each run feeds two extrapolations, so no step count is run twice
+        assert runs.log == expect
+
+    def test_logs_one_debug_record(self, caplog, monkeypatch):
+        runs = _RecordedStrang()
+        monkeypatch.setattr(lindblad, "_strang_run", runs)
+        rho, H = _squeeze_block(24)
+        with caplog.at_level(logging.DEBUG, logger=lindblad.__name__):
+            lindblad_evolve(rho, H, NoiseParams(), 2e-6)
+        records = [r for r in caplog.records if r.name == lindblad.__name__]
+        assert len(records) == 1
+        record = records[0]
+        assert record.levelno == logging.DEBUG
+        assert (record.engine, record.kind) == ("dense", None)
+        assert record.steps == tuple(runs.log) and runs.log[0] == 4
+        assert record.distance < 1e-7
+        message = record.getMessage()
+        assert message.startswith("dense segment converged")
+        assert "/".join(map(str, runs.log)) in message
