@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from . import __version__, fock
-from .errors import SqueezeAmpError
+from .errors import ConfigError, SqueezeAmpError
 from .experiments import (
     ExperimentConfig,
     run_contrast_vs_alpha,
@@ -53,6 +53,17 @@ def _error_record(exc):
         if val is not None:
             record[attr] = val
     return json.dumps(record, sort_keys=True)
+
+
+def _check_flag(key, value, least=None, strict=False):
+    """A flag's value, or ConfigError(key=...) when it is not finite or lies
+    below `least` (or at it, when `strict`)."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value!r}", key=key)
+    if least is not None and (value < least or strict and value == least):
+        raise ConfigError(f"{key} must be {'>' if strict else '>='} {least:g}, got {value!r}",
+                          key=key)
+    return value
 
 
 def build_parser():
@@ -105,13 +116,21 @@ def build_parser():
 def _cmd_fit(args):
     with open(args.trace) as fh:
         trace = RabiTrace.from_csv(fh.read())
-    init = {"omega": 2 * math.pi * args.omega_khz * 1e3, "gamma": args.gamma,
+    # alpha, r and gamma enter the model through their magnitudes: any sign will do
+    omega_khz = _check_flag("--omega-khz", args.omega_khz, 0.0, strict=True)
+    init = {"omega": 2 * math.pi * omega_khz * 1e3,
+            "gamma": _check_flag("--gamma", args.gamma),
             "alpha": 0.5, "r": 1.0, "theta": 0.0}
     for item in args.init:
         name, _, value = item.partition("=")
         if not value:
             raise ValueError(f"--init expects NAME=VALUE, got {item!r}")
-        init[name.strip()] = float(value)
+        name = name.strip()
+        key = f"--init {name}"
+        if name not in init:
+            raise ConfigError(f"unknown start parameter {name!r}", key=key)
+        least = 0.0 if name == "omega" else None
+        init[name] = _check_flag(key, float(value), least, strict=True)
     result = fit_state_model(trace, args.model, init)
     sys.stdout.write(result.to_json())
     return EXIT_OK
@@ -158,6 +177,8 @@ def main(argv=None):
             return _cmd_fit(args)
         if args.command == "simulate":
             return _cmd_simulate(args)
+        if getattr(args, "r", None) is not None:
+            _check_flag("--r", args.r, 0.0)
         cfg = _load_config(args.config)
         if args.command == "phase-scan":
             result = run_phase_scan(cfg, r=args.r)

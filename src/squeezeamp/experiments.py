@@ -76,6 +76,8 @@ _NON_NEGATIVE_KEYS = _INT_KEYS | {"heating_quanta_per_s", "dephasing_per_s", "bs
                                   "displace_duration_us", "squeeze_durations_us"}
 _MIN_POINTS = {"trace_points": 1, "theta_points": 1, "phi_points": 8,
                "squeeze_durations_us": 1, "alpha_list": 2}
+# the gain curve keys trace sample i of block b as b * 100_000 + i
+_MAX_POINTS = {"trace_points": 100_000}
 
 
 def _format_value(value):
@@ -107,9 +109,12 @@ class ExperimentConfig:
                 raise ConfigError(f"config key {key!r} must be > 0", key=key)
             if key in _NON_NEGATIVE_KEYS and any(x < 0 for x in entries):
                 raise ConfigError(f"config key {key!r} must be >= 0", key=key)
-            least = _MIN_POINTS.get(key, 0)
-            if (val if key in _INT_KEYS else len(entries)) < least:
+            points = val if key in _INT_KEYS else len(entries)
+            least, most = _MIN_POINTS.get(key, 0), _MAX_POINTS.get(key, math.inf)
+            if points < least:
                 raise ConfigError(f"config key {key!r} needs >= {least} points", key=key)
+            if points > most:
+                raise ConfigError(f"config key {key!r} allows <= {most} points", key=key)
         object.__setattr__(self, "values", merged)
 
     def __getitem__(self, key):

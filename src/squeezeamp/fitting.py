@@ -12,6 +12,7 @@ gets an infinite variance.
 from dataclasses import dataclass, field
 import io
 import json
+import logging
 import math
 
 import numpy as np
@@ -20,12 +21,18 @@ import scipy.optimize
 from . import gaussian
 from .errors import ConvergenceError, DimensionMismatchError, SqueezeAmpError
 
+_log = logging.getLogger(__name__)
+
 SCHEMA_VERSION = 1
 
 MODEL_TAGS = ("unconstrained", "coherent", "squeezed", "displaced_squeezed", "sinusoid")
 
 #: Probability floor when converting P(1-P)/shots into weights.
 _P_FLOOR = 1e-3
+
+#: MINPACK's bound on the first Levenberg-Marquardt step, factor * ||D x||
+#: with D the column norms of J: the low end of the documented (0.1, 100).
+_LM_STEP_FACTOR = 0.1
 
 
 @dataclass(frozen=True)
@@ -370,14 +377,25 @@ def fit_state_model(trace, model, init, nmax=None, fit_omega=True, fit_gamma=Tru
                     n_starts=5, seed=0):
     """Nonlinear least-squares fit of a parameterized state to a Rabi trace.
 
-    `init` maps parameter names to starting values and must include the
-    state parameters plus omega and gamma (shared nuisance parameters,
+    `init` maps parameter names to finite starting values and must include
+    the state parameters plus omega and gamma (shared nuisance parameters,
     frozen unless fit_omega/fit_gamma).  Multi-start Levenberg-Marquardt
-    with the analytic Jacobian of `TraceResiduals`, scaled by its column
-    norms; the lowest-residual converged start wins, index order breaking
-    ties.  Raises ConvergenceError, listing each start's reason, when no
-    start converges.
+    (MINPACK lmder) with the analytic Jacobian of `TraceResiduals`, scaled
+    by its column norms.  The first step is bounded by 0.1 ||D x||, the low
+    end of MINPACK's documented range, not the 100 ||D x|| of
+    `scipy.optimize.least_squares`: a first step up to 100 times the
+    start's scaled size can throw a start far outside the region where the
+    truncated model means anything, to crawl there for hundreds of
+    evaluations.  A
+    start converges when MINPACK's `ier` is 1-4; the lowest-residual
+    converged start wins, index order breaking ties.  Each start logs one
+    DEBUG record whose attributes `model`, `start`, `nfev`, `cost` and
+    `ier` say how it ended (None where the start raised).  Raises
+    ConvergenceError, listing each start's reason, when no start converges.
     """
+    bad = sorted(n for n, v in init.items() if not math.isfinite(v))
+    if bad:
+        raise ValueError(f"init values must be finite: {bad}")
     if nmax is None:
         nmax = _default_nmax(model, init)
     residuals = TraceResiduals(trace, model, init, nmax, fit_omega, fit_gamma)
@@ -396,28 +414,36 @@ def fit_state_model(trace, model, init, nmax=None, fit_omega=True, fit_gamma=Tru
             u = rng.uniform(-1, 1, size=x0.size)
             guess = x0 * (1.0 + 0.2 * u) + 0.2 * u * (x0 == 0)
         try:
-            sol = scipy.optimize.least_squares(
-                residuals, guess, jac=residuals.jac, method="lm", x_scale="jac",
-                xtol=1e-14, ftol=1e-14, max_nfev=4000,
+            x, _, info, message, ier = scipy.optimize.leastsq(
+                residuals, guess, Dfun=residuals.jac, full_output=True,
+                xtol=1e-14, ftol=1e-14, gtol=1e-8, maxfev=4000, factor=_LM_STEP_FACTOR,
             )
         except (ValueError, SqueezeAmpError) as exc:
             failures.append(f"start {start}: {type(exc).__name__}: {exc}")
+            _log.debug("%s start %d raised %s: %s", model, start, type(exc).__name__, exc,
+                       extra=dict(model=model, start=start, nfev=None, cost=None, ier=None))
             continue
-        if not sol.success:
-            failures.append(f"start {start}: status {sol.status}: {sol.message}")
+        fun = info["fvec"]
+        cost = 0.5 * np.dot(fun, fun)
+        record = dict(model=model, start=start, nfev=int(info["nfev"]), cost=float(cost), ier=ier)
+        _log.debug("%s start %d: ier %d after %d evaluations, cost %.6g", model, start, ier,
+                   record["nfev"], cost, extra=record)
+        if ier not in (1, 2, 3, 4):
+            failures.append(f"start {start}: ier {ier}: {' '.join(message.split())}")
             continue
-        if best is None or sol.cost < best.cost - 1e-15:
-            best = sol
+        if best is None or cost < best[0] - 1e-15:
+            best = cost, x, fun
     if best is None:
         raise ConvergenceError(
             f"{model} fit failed to converge from {n_starts} starts: " + "; ".join(failures)
         )
+    _, x, fun = best
     # report magnitudes for sign-symmetric parameters, with the covariance of
     # those magnitudes: the residuals do not change, J's columns flip sign
     params = np.array([abs(v) if n in _SIGN_SYMMETRIC else v
-                       for n, v in zip(residuals.names, best.x)])
-    cov = _state_covariance(residuals, params, best.fun)
-    return FitResult(model, residuals.names, params, cov, float(np.linalg.norm(best.fun)))
+                       for n, v in zip(residuals.names, x)])
+    cov = _state_covariance(residuals, params, fun)
+    return FitResult(model, residuals.names, params, cov, float(np.linalg.norm(fun)))
 
 
 def _state_covariance(residuals, x, r):
@@ -479,7 +505,10 @@ def _hessian_covariance(H):
 def _default_nmax(model, init):
     alpha = abs(init.get("alpha", 0.0))
     r = abs(init.get("r", 0.0))
-    need = 10.0 * math.sinh(r) ** 2 + 4.0 * alpha**2 + 8 * alpha + 25.0
+    try:
+        need = 10.0 * math.sinh(r) ** 2 + 4.0 * alpha**2 + 8 * alpha + 25.0
+    except OverflowError:
+        raise ValueError(f"no Fock truncation holds alpha = {alpha:g}, r = {r:g}") from None
     return int(math.ceil(need))
 
 

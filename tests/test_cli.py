@@ -199,6 +199,8 @@ class TestErrorHandling:
         ("unitarity", "squeeze_durations_us", "2,nan"),
         ("contrast-alpha", "squeeze_durations_us", "inf"),
         ("gain-curve", "trace_points", "0"),
+        # the gain curve keys trace sample i of block b as b * 100_000 + i
+        ("gain-curve", "trace_points", "100001"),
         ("squeeze-phase-scan", "theta_points", "0"),
         ("sensitivity", "phi_points", "4"),
         ("gain-curve", "alpha_i", "nan"),
@@ -211,6 +213,34 @@ class TestErrorHandling:
                                                 value):
         cfg = write_config(tmp_path, f"{key} = {value}\n")
         code = cli.main([command, "--config", cfg, "--out", str(tmp_path / "x")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "ConfigError"
+        assert record["key"] == key
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("argv, key", [
+        (["fit", "--model", "coherent", "--omega-khz", "0"], "--omega-khz"),
+        (["fit", "--model", "coherent", "--omega-khz", "-1"], "--omega-khz"),
+        (["fit", "--model", "squeezed", "--init", "r=inf"], "--init r"),
+        (["fit", "--model", "coherent", "--init", "alpha=nan"], "--init alpha"),
+        (["fit", "--model", "coherent", "--gamma", "nan"], "--gamma"),
+        (["fit", "--model", "coherent", "--gamma", "inf"], "--gamma"),
+        (["fit", "--model", "coherent", "--init", "beta=1"], "--init beta"),
+        (["squeeze-phase-scan", "--r", "inf"], "--r"),
+        (["phase-scan", "--r", "nan"], "--r"),
+        (["phase-scan", "--r", "-1"], "--r"),
+    ])
+    def test_unusable_flag_is_config_error(self, tmp_path, capsys, argv, key):
+        if argv[0] == "fit":
+            trace = tmp_path / "trace.csv"
+            trace.write_text(RabiTrace(np.arange(1, 41) * 2e-5, np.full(40, 0.5), 300).to_csv())
+            argv = argv + ["--trace", str(trace)]
+        else:
+            argv = argv + ["--config", write_config(tmp_path), "--out", str(tmp_path / "x")]
+        code = cli.main(argv)
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.count("\n") == 1

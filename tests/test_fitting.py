@@ -1,7 +1,9 @@
+import logging
 import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from squeezeamp import fitting
 from squeezeamp.errors import ConvergenceError, DimensionMismatchError
@@ -262,6 +264,86 @@ class TestStateModelFits:
                 assert err < 1e-6, (model, x, err)
 
 
+def _least_squares_fit_norm(trace, model, init, n_starts=5, seed=0):
+    """Best residual norm of the same multi-start fit run through
+    scipy.optimize.least_squares(method="lm"): MINPACK lmder with the
+    column-norm scaling, the tolerances and the starts of `fit_state_model`,
+    but with its first step bounded by 100 ||D x||."""
+    res = TraceResiduals(trace, model, init, fitting._default_nmax(model, init))
+    rng = np.random.default_rng(seed)
+    best = math.inf
+    for start in range(n_starts):
+        if start == 0:
+            guess = res.x0.copy()
+        else:
+            u = rng.uniform(-1, 1, size=res.x0.size)
+            guess = res.x0 * (1.0 + 0.2 * u) + 0.2 * u * (res.x0 == 0)
+        sol = scipy.optimize.least_squares(res, guess, jac=res.jac, method="lm", x_scale="jac",
+                                           xtol=1e-14, ftol=1e-14, max_nfev=4000)
+        if sol.success:
+            best = min(best, float(np.linalg.norm(sol.fun)))
+    return best
+
+
+class TestFirstStepBound:
+    MODELS = (("coherent", ((0.3, 1.5),)), ("squeezed", ((0.3, 1.2),)),
+              ("displaced_squeezed", ((0.3, 0.8), (0.3, 0.9), (0.2, 1.5))))
+
+    @pytest.mark.parametrize("case", range(30))
+    def test_no_worse_than_least_squares(self, case):
+        # Seeded shot-noise traces, started off the truth by up to 30 % in
+        # the state and gamma and 8 % in omega: the bounded first step must
+        # find an optimum at least as good as least_squares' 100 ||D x||.
+        rng = np.random.default_rng([2024, case])
+        model, ranges = self.MODELS[case % 3]
+        truth = np.array([rng.uniform(lo, hi) for lo, hi in ranges])
+        pops = model_populations(model, truth, 80)[0]
+        times = np.arange(1, 151) * 2e-5
+        tr = synthetic_trace(pops, times=times, rng=rng)
+        state = truth * (1 + rng.uniform(-0.3, 0.3, truth.size))
+        init = dict(zip(fitting._MODEL_PARAMS[model], state),
+                    omega=OM * (1 + rng.uniform(-0.08, 0.08)),
+                    gamma=60.0 * (1 + rng.uniform(-0.3, 0.3)))
+        oracle = _least_squares_fit_norm(tr, model, init)
+        assert math.isfinite(oracle)
+        assert fit_state_model(tr, model, init).residual_norm <= oracle * (1 + 1e-9)
+
+    def test_evaluation_budget(self, monkeypatch):
+        # The TestRankDeficientErrorBars trace: a first step of 100 ||D x||
+        # throws one start to theta ~ 700 and gamma ~ 2000, where it crawls
+        # for ~800 evaluations (~990 for the whole fit); 0.1 ||D x|| needs
+        # ~190 for the same optimum.
+        calls = []
+
+        def counted(model, params, nmax):
+            calls.append(model)
+            return model_populations(model, params, nmax)
+
+        pops = model_populations("displaced_squeezed", [0.5, 0.8, 0.3], 64)[0]
+        tr = synthetic_trace(pops, times=np.arange(1, 301) * 2e-5, rng=np.random.default_rng(7))
+        init = {"alpha": 0.45, "r": 0.7, "theta": 0.2, "omega": OM, "gamma": 60.0}
+        monkeypatch.setattr(fitting, "model_populations", counted)
+        res = fit_state_model(tr, "displaced_squeezed", init)
+        assert abs(math.remainder(res.param("theta"), 2 * math.pi)) < 1e-5
+        assert len(calls) <= 300
+
+    def test_logs_one_debug_record_per_start(self, caplog):
+        pops = model_populations("squeezed", [0.7], 40)[0]
+        tr = synthetic_trace(pops, rng=np.random.default_rng(3))
+        with caplog.at_level(logging.DEBUG, logger=fitting.__name__):
+            res = fit_state_model(tr, "squeezed", {"r": 0.6, "omega": OM, "gamma": 60.0})
+        records = [r for r in caplog.records if r.name == fitting.__name__]
+        assert [r.start for r in records] == list(range(5))
+        for record in records:
+            assert record.levelno == logging.DEBUG
+            assert record.model == "squeezed"
+            assert record.ier in (1, 2, 3, 4)
+            assert isinstance(record.nfev, int) and record.nfev > 0
+            assert record.getMessage().startswith(f"squeezed start {record.start}: ier ")
+        assert min(r.cost for r in records) == pytest.approx(0.5 * res.residual_norm**2,
+                                                             rel=1e-12)
+
+
 class TestFitFailures:
     def test_every_start_failing_lists_each_reason(self, monkeypatch):
         def broken(model, params, nmax):
@@ -274,6 +356,42 @@ class TestFitFailures:
         message = str(info.value)
         for start in range(5):
             assert f"start {start}: ValueError: populations unavailable" in message
+
+    def test_raising_start_logs_a_record_without_figures(self, monkeypatch, caplog):
+        def broken(model, params, nmax):
+            raise ValueError("populations unavailable")
+
+        monkeypatch.setattr(fitting, "model_populations", broken)
+        with caplog.at_level(logging.DEBUG, logger=fitting.__name__), \
+                pytest.raises(ConvergenceError):
+            fit_state_model(synthetic_trace([1.0]), "coherent",
+                            {"alpha": 0.2, "omega": OM, "gamma": 60.0}, n_starts=2)
+        records = [r for r in caplog.records if r.name == fitting.__name__]
+        assert [(r.start, r.nfev, r.cost, r.ier) for r in records] == [
+            (0, None, None, None), (1, None, None, None)]
+
+    def test_stopped_start_reports_ier_and_message(self, monkeypatch):
+        def stalled(func, x0, **kwargs):
+            message = "Number of calls to function has reached maxfev = 4000."
+            return x0, None, {"fvec": func(x0), "nfev": 4000}, message, 5
+
+        monkeypatch.setattr(scipy.optimize, "leastsq", stalled)
+        with pytest.raises(ConvergenceError) as info:
+            fit_state_model(synthetic_trace([1.0]), "coherent",
+                            {"alpha": 0.2, "omega": OM, "gamma": 60.0}, n_starts=2)
+        for start in range(2):
+            assert (f"start {start}: ier 5: Number of calls to function has reached "
+                    "maxfev = 4000.") in str(info.value)
+
+    @pytest.mark.parametrize("init", [
+        {"alpha": math.nan, "omega": OM, "gamma": 60.0},
+        {"alpha": 0.2, "omega": math.inf, "gamma": 60.0},
+        {"alpha": 0.2, "omega": OM, "gamma": -math.inf},
+        {"alpha": 1e200, "omega": OM, "gamma": 60.0},
+    ])
+    def test_unusable_start_is_value_error(self, init):
+        with pytest.raises(ValueError):
+            fit_state_model(synthetic_trace([1.0]), "coherent", init)
 
     def test_unexpected_errors_propagate(self, monkeypatch):
         def broken(model, params, nmax):
@@ -289,8 +407,6 @@ class TestRankDeficientErrorBars:
     def test_theta_stderr_matches_profile_likelihood(self):
         # At theta = 0 every population is stationary in theta, so J^T J is
         # singular there; the error bar must come from the full Hessian.
-        import scipy.optimize
-
         pops = model_populations("displaced_squeezed", [0.5, 0.8, 0.3], 64)[0]
         times = np.arange(1, 301) * 2e-5
         tr = synthetic_trace(pops, gamma=60.0, times=times, rng=np.random.default_rng(7))
