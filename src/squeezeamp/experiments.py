@@ -290,11 +290,25 @@ def _synthetic_trace(cfg, populations, experiment, block_index):
     return RabiTrace(times, sampled, shots)
 
 
+#: |alpha| past which the coherent populations of
+#: `gaussian.displaced_squeezed_populations` underflow to 0: all of them start
+#: from g_0 = exp(-|alpha|^2/2).
+_MAX_FIT_ALPHA = math.sqrt(-2 * math.log(math.ulp(0.0)))
+
+
 def run_gain_curve(cfg):
     """Gain G = alpha_f / alpha_i versus squeezing parameter r = g t."""
     alpha_i = cfg["alpha_i"]
     if alpha_i == 0:
         raise ConfigError("gain curve needs alpha_i != 0", key="alpha_i")
+    # on the squeezed axis |alpha_f| = |alpha_i| e^r, so compare r in logs
+    r_max = math.log(_MAX_FIT_ALPHA / abs(alpha_i))
+    r_top = max(cfg["squeeze_r_list"])
+    if r_top > r_max:
+        raise ConfigError(
+            f"r = {r_top:g} amplifies alpha_i = {alpha_i:g} past |alpha_f| = "
+            f"{_MAX_FIT_ALPHA:.4g} (r > {r_max:.4g}), where every population of the "
+            "coherent model underflows to 0", key="squeeze_r_list")
     rows = []
     failures = []
     for idx, r in enumerate(cfg["squeeze_r_list"]):

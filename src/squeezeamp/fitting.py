@@ -390,8 +390,10 @@ def fit_state_model(trace, model, init, nmax=None, fit_omega=True, fit_gamma=Tru
     start converges when MINPACK's `ier` is 1-4; the lowest-residual
     converged start wins, index order breaking ties.  Each start logs one
     DEBUG record whose attributes `model`, `start`, `nfev`, `cost` and
-    `ier` say how it ended (None where the start raised).  Raises
-    ConvergenceError, listing each start's reason, when no start converges.
+    `ier` say how it ended (None where the start raised).  alpha, r and
+    gamma are reported as magnitudes and theta folded into [0, pi], with the
+    covariance there.  Raises ConvergenceError, listing each start's
+    reason, when no start converges.
     """
     bad = sorted(n for n, v in init.items() if not math.isfinite(v))
     if bad:
@@ -438,9 +440,12 @@ def fit_state_model(trace, model, init, nmax=None, fit_omega=True, fit_gamma=Tru
             f"{model} fit failed to converge from {n_starts} starts: " + "; ".join(failures)
         )
     _, x, fun = best
-    # report magnitudes for sign-symmetric parameters, with the covariance of
-    # those magnitudes: the residuals do not change, J's columns flip sign
-    params = np.array([abs(v) if n in _SIGN_SYMMETRIC else v
+    # report magnitudes for sign-symmetric parameters, and theta folded into
+    # [0, pi] since the populations are 2 pi-periodic and even in theta, with
+    # the covariance taken there: the residuals do not change, J's columns
+    # at most flip sign
+    params = np.array([abs(v) if n in _SIGN_SYMMETRIC
+                       else abs(math.remainder(v, 2 * math.pi)) if n == "theta" else v
                        for n, v in zip(residuals.names, x)])
     cov = _state_covariance(residuals, params, fun)
     return FitResult(model, residuals.names, params, cov, float(np.linalg.norm(fun)))

@@ -218,7 +218,9 @@ def hermitian_propagator(H, t):
         raise ValueError(f"Hamiltonian is not Hermitian (defect {defect:.3e})")
     # numpy's eigh keeps this and the numpy products around it in one
     # OpenBLAS thread pool; scipy bundles its own, and alternating the two
-    # lets the idle pool's spinning threads take the cores.
+    # lets the idle pool's spinning threads take the cores.  The CLI runs
+    # both pools at one thread, so this matters where a thread variable
+    # overrides that, and in programs that import the library.
     w, v = np.linalg.eigh(H)
     phases = np.exp(-1j * w * t)
     return (v * phases) @ v.conj().T

@@ -1,5 +1,9 @@
 import json
+import logging
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -208,6 +212,8 @@ class TestErrorHandling:
         ("squeeze-phase-scan", "alpha_i", "-inf"),
         ("sensitivity", "sensitivity_alpha", "nan"),
         ("gain-curve", "squeeze_r_list", "0.5,inf"),
+        # |alpha_f| = 0.2 e^1000: the coherent model's populations underflow
+        ("gain-curve", "squeeze_r_list", "1,1000"),
     ])
     def test_unusable_sweep_key_is_config_error(self, tmp_path, capsys, command, key,
                                                 value):
@@ -249,7 +255,80 @@ class TestErrorHandling:
         assert record["key"] == key
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command", ["phase-scan", "squeeze-phase-scan"])
+    def test_overflow_is_runtime_error(self, tmp_path, capsys, command):
+        # cosh(1000) overflows a double in gaussian.amplify_displacement
+        code = cli.main([command, "--r", "1000", "--config", write_config(tmp_path),
+                         "--out", str(tmp_path / "x")])
+        assert code == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "OverflowError"
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_subcommand_rejected(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["make-coffee"])
         assert exc.value.code == 2
+
+
+@pytest.fixture
+def blas_at_two(monkeypatch):
+    """Every loaded OpenBLAS at 2 threads, no thread variable set and the
+    policy not yet run in this process; each library's count is restored
+    afterwards, since the suite runs at one thread."""
+    for var in cli._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    libraries = cli._openblas_libraries()
+    counts = [get_threads() for _, _, get_threads in libraries]
+    cli._one_blas_thread.cache_clear()
+    try:
+        for _, set_threads, _ in libraries:
+            set_threads(2)
+        yield libraries
+    finally:
+        for (_, set_threads, _), n in zip(libraries, counts):
+            set_threads(n)
+        cli._one_blas_thread.cache_clear()
+
+
+class TestBlasThreads:
+    def run_cli(self, tmp_path, caplog):
+        with caplog.at_level(logging.DEBUG, logger="squeezeamp.cli"):
+            cli.main(["fit", "--model", "coherent", "--trace", str(tmp_path / "none.csv")])
+        records = [r for r in caplog.records if hasattr(r, "blas_libraries")]
+        assert len(records) == 1
+        return records[0]
+
+    def test_one_thread_per_library(self, tmp_path, caplog, blas_at_two):
+        record = self.run_cli(tmp_path, caplog)
+        assert [get_threads() for _, _, get_threads in blas_at_two] == [1] * len(blas_at_two)
+        assert record.blas_libraries == [os.path.basename(p) for p, _, _ in blas_at_two]
+        assert record.kept is None
+        # cached: a second call logs nothing
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="squeezeamp.cli"):
+            cli.main(["fit", "--model", "coherent", "--trace", str(tmp_path / "none.csv")])
+        assert not [r for r in caplog.records if hasattr(r, "blas_libraries")]
+
+    def test_thread_variable_overrides(self, tmp_path, caplog, monkeypatch, blas_at_two):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        record = self.run_cli(tmp_path, caplog)
+        assert [get_threads() for _, _, get_threads in blas_at_two] == [2] * len(blas_at_two)
+        assert record.blas_libraries == []
+        assert record.kept == "OPENBLAS_NUM_THREADS"
+
+    def test_numpy_openblas_is_found(self):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if blas.get("name") != "scipy-openblas" or not os.path.exists("/proc/self/maps"):
+            pytest.skip("numpy does not bundle scipy-openblas here")
+        site = os.path.dirname(os.path.dirname(np.__file__))
+        paths = [p for p, _, _ in cli._openblas_libraries()]
+        assert any(p.startswith(os.path.join(site, "numpy")) for p in paths), paths
+
+    def test_import_leaves_threads_alone(self):
+        code = ("import squeezeamp, squeezeamp.cli as cli; "
+                "assert cli._one_blas_thread.cache_info().misses == 0")
+        env = {k: v for k, v in os.environ.items() if k not in cli._BLAS_THREAD_VARS}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

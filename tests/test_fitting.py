@@ -189,6 +189,22 @@ class TestStateModelFits:
             assert got == pytest.approx(want, rel=1e-4), name
         assert np.all(np.isfinite(res.stderr)) and np.all(res.stderr > 0)
 
+    def test_theta_reported_in_zero_to_pi(self):
+        # Started at alpha = 0, this fit ends at theta = 55.25, which is -1.30
+        # modulo 2 pi: the populations are 2 pi-periodic and even in theta.
+        pops = model_populations("displaced_squeezed", [0.5, 0.75, 1.3], 40)[0]
+        tr = synthetic_trace(pops)
+        init = {"alpha": 0.0, "r": 0.7, "theta": 1.2, "omega": OM, "gamma": 60.0}
+        res = fit_state_model(tr, "displaced_squeezed", init)
+        assert res.param("theta") == pytest.approx(1.3, rel=1e-4)
+        # the covariance is the one at the reported theta: at -1.30 the theta
+        # row would change sign off the diagonal
+        residuals = TraceResiduals(tr, "displaced_squeezed", init,
+                                   fitting._default_nmax("displaced_squeezed", init))
+        cov = fitting._state_covariance(residuals, res.params, residuals(res.params))
+        std = np.sqrt(np.diag(cov))
+        assert np.max(np.abs(res.covariance - cov) / np.outer(std, std)) < 1e-9
+
     def test_monte_carlo_stderr_calibration(self):
         # empirical spread of alpha-hat vs mean reported stderr within 30%
         pops = displaced_squeezed_populations(Displacement(0.5), SqueezeParam(0.0), 16)
