@@ -41,7 +41,7 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREAD
 # the scipy-openblas wheels' symbols (numpy's copy has the 64-bit integer
 # interface), then a system OpenBLAS's
 _SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-                "openblas_set_num_threads64_", "openblas_set_num_threads")
+                "openblas_set_num_threads")
 
 _SWEEPS = {
     "gain-curve": run_gain_curve,

@@ -293,27 +293,24 @@ def blas_at_two(monkeypatch):
 
 
 class TestBlasThreads:
-    def run_cli(self, tmp_path, caplog):
-        with caplog.at_level(logging.DEBUG, logger="squeezeamp.cli"):
-            cli.main(["fit", "--model", "coherent", "--trace", str(tmp_path / "none.csv")])
-        records = [r for r in caplog.records if hasattr(r, "blas_libraries")]
-        assert len(records) == 1
-        return records[0]
-
-    def test_one_thread_per_library(self, tmp_path, caplog, blas_at_two):
-        record = self.run_cli(tmp_path, caplog)
-        assert [get_threads() for _, _, get_threads in blas_at_two] == [1] * len(blas_at_two)
-        assert record.blas_libraries == [os.path.basename(p) for p, _, _ in blas_at_two]
-        assert record.kept is None
-        # cached: a second call logs nothing
+    def policy_records(self, tmp_path, caplog):
+        """The policy's DEBUG records from one CLI call."""
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="squeezeamp.cli"):
             cli.main(["fit", "--model", "coherent", "--trace", str(tmp_path / "none.csv")])
-        assert not [r for r in caplog.records if hasattr(r, "blas_libraries")]
+        return [r for r in caplog.records if hasattr(r, "blas_libraries")]
+
+    def test_one_thread_per_library(self, tmp_path, caplog, blas_at_two):
+        [record] = self.policy_records(tmp_path, caplog)
+        assert [get_threads() for _, _, get_threads in blas_at_two] == [1] * len(blas_at_two)
+        assert record.blas_libraries == [os.path.basename(p) for p, _, _ in blas_at_two]
+        assert record.kept is None
+        # once a process
+        assert self.policy_records(tmp_path, caplog) == []
 
     def test_thread_variable_overrides(self, tmp_path, caplog, monkeypatch, blas_at_two):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-        record = self.run_cli(tmp_path, caplog)
+        [record] = self.policy_records(tmp_path, caplog)
         assert [get_threads() for _, _, get_threads in blas_at_two] == [2] * len(blas_at_two)
         assert record.blas_libraries == []
         assert record.kept == "OPENBLAS_NUM_THREADS"
@@ -321,7 +318,7 @@ class TestBlasThreads:
     def test_numpy_openblas_is_found(self):
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         if blas.get("name") != "scipy-openblas" or not os.path.exists("/proc/self/maps"):
-            pytest.skip("numpy does not bundle scipy-openblas here")
+            pytest.skip("no scipy-openblas in numpy, or no /proc/self/maps")
         site = os.path.dirname(os.path.dirname(np.__file__))
         paths = [p for p, _, _ in cli._openblas_libraries()]
         assert any(p.startswith(os.path.join(site, "numpy")) for p in paths), paths
