@@ -14,7 +14,7 @@ which applied for a duration t implements S(ξ) with r = g t.
 
 H(t) is quadratic, so the lab-frame check (`simulate_full_vs_rwa`) needs no
 Fock space: the Heisenberg flow of (x, p) is a 2x2 symplectic (Mathieu)
-map, i.e. a Bogoliubov map a -> mu a + nu a† (`frame.FrameMap`), and the
+map, i.e. a Bogoliubov map a -> mu a + nu a† (`gaussian.FrameMap`), and the
 driven vacuum is the pure squeezed vacuum it defines.  Its fidelity to the
 RWA target and its n̄ = |nu|² are closed forms, so the check is
 truncation-free and r_effective = asinh √n̄.  `hamiltonian_lab` stays as
@@ -28,8 +28,9 @@ import math
 
 import numpy as np
 
-from . import fock, frame, gaussian
+from . import fock, gaussian
 from .errors import ConvergenceError
+from .gaussian import FrameMap
 
 
 @dataclass(frozen=True)
@@ -94,19 +95,8 @@ def _lab_map(p, n_steps, t_final):
     (s11, s12), (s21, s22) = steps[0]
     # a = (x + ip)/√2 maps to mu a + nu a†; then U_0† = exp(i w_r (n + 1/2) t)
     # takes the state into the interaction picture, a -> a e^{i w_r t}
-    lab = frame.FrameMap(
-        mu=0.5 * complex(s11 + s22, s21 - s12), nu=0.5 * complex(s11 - s22, s21 + s12)
-    )
-    return lab.compose_local(cmath.exp(1j * p.omega_r * t_final), 0.0, 0.0)
-
-
-def _vacuum_overlap_fidelity(fmap, target):
-    """|<0|V† U|0>|² for Bogoliubov maps U (fmap) and V (target), c = 0.
-
-    V† U maps a -> (mu_V* mu_U - nu_V nu_U*) a + ..., a squeeze whose vacuum
-    persistence is 1/|mu|.
-    """
-    return 1.0 / abs(target.mu.conjugate() * fmap.mu - target.nu * fmap.nu.conjugate())
+    lab = FrameMap(0.5 * complex(s11 + s22, s21 - s12), 0.5 * complex(s11 - s22, s21 + s12))
+    return lab.compose_local(FrameMap(cmath.exp(1j * p.omega_r * t_final)))
 
 
 def simulate_full_vs_rwa(p, steps_per_period=64, convergence_tol=1e-6):
@@ -127,13 +117,10 @@ def simulate_full_vs_rwa(p, steps_per_period=64, convergence_tol=1e-6):
     period = 2 * math.pi / p.omega_p
     n_steps = max(int(math.ceil(t_final / period * steps_per_period)), 16)
 
-    target_r = p.g * t_final
-    target = frame.FrameMap(
-        mu=math.cosh(target_r), nu=-cmath.exp(1j * p.theta) * math.sinh(target_r)
-    )
-    f_coarse = _vacuum_overlap_fidelity(_lab_map(p, n_steps, t_final), target)
+    target = FrameMap.squeeze(p.g * t_final, p.theta)
+    f_coarse = _lab_map(p, n_steps, t_final).vacuum_fidelity(target)
     fine = _lab_map(p, 2 * n_steps, t_final)
-    f_fine = _vacuum_overlap_fidelity(fine, target)
+    f_fine = fine.vacuum_fidelity(target)
     if abs(f_fine - f_coarse) > convergence_tol:
         raise ConvergenceError(
             f"lab-frame integration not converged: fidelity step-halving change "

@@ -410,12 +410,13 @@ def run_squeeze_phase_scan(cfg, r=None):
 
 
 def _linear_slope(alphas, contrasts, errors, threshold):
-    """Weighted zero-intercept slope of C(alpha) over the linear regime."""
+    """Weighted zero-intercept slope of C(alpha) over the linear regime, or
+    None when fewer than two contrasts lie at or below `threshold`."""
     alphas = np.asarray(alphas, dtype=float)
     contrasts = np.asarray(contrasts, dtype=float)
     keep = contrasts <= threshold
     if keep.sum() < 2:
-        raise ValueError("not enough contrast points below the linear-regime threshold")
+        return None
     x, y = alphas[keep], contrasts[keep]
     w = 1.0 / np.clip(np.asarray(errors, dtype=float)[keep], 1e-6, None) ** 2
     slope = float(np.sum(w * x * y) / np.sum(w * x * x))
@@ -427,6 +428,7 @@ def run_contrast_vs_alpha(cfg):
     """Contrast versus displacement amplitude per squeeze duration."""
     rows = []
     slopes = {}
+    failures = []
     for k, duration_us in enumerate(cfg["squeeze_durations_us"]):
         r = cfg.g * duration_us * 1e-6
         block = []
@@ -438,17 +440,26 @@ def run_contrast_vs_alpha(cfg):
                 "t_us": duration_us, "alpha_i": alpha,
                 "contrast": contrast, "contrast_err": err,
             })
-        slope, slope_err = _linear_slope(
+        fit = _linear_slope(
             [row["alpha_i"] for row in block], [row["contrast"] for row in block],
             [row["contrast_err"] for row in block], cfg["contrast_threshold"],
         )
-        slopes[f"{duration_us:g}"] = {
-            "slope": slope, "slope_err": slope_err, "contrast_gain": slope / 2.0,
-        }
+        if fit is None:
+            failures.append({"t_us": duration_us, "error": (
+                "fewer than 2 contrasts at or below contrast_threshold "
+                f"{cfg['contrast_threshold']:g}: no linear-regime slope")})
+        else:
+            slope, slope_err = fit
+            slopes[f"{duration_us:g}"] = {
+                "slope": slope, "slope_err": slope_err, "contrast_gain": slope / 2.0,
+            }
         rows += block
+    summary = {"slopes": slopes}
+    if failures:
+        summary["slope_failures"] = failures
     return SweepResult(
         "contrast_alpha", ("t_us", "alpha_i", "contrast", "contrast_err"),
-        tuple(rows), cfg, {"slopes": slopes},
+        tuple(rows), cfg, summary,
     )
 
 

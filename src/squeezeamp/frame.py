@@ -9,8 +9,9 @@ the conjugated noise channels remain,
     L -> V†(t) L V(t),
 
 which for the Gaussian segments used here is an affine Bogoliubov transform
-of the ladder operator, a -> mu a + nu a† + c.  The frame state stays close
-to the vacuum, so a few dozen Fock levels suffice at any r.
+of the ladder operator, a -> mu a + nu a† + c: a `gaussian.FrameMap`, built
+for each segment by `gaussian.segment_map`.  The frame state stays close to
+the vacuum, so a few dozen Fock levels suffice at any r.
 
 Each step is a Strang split at the step midpoint: a dephasing half-step,
 an RK4 heating step, a dephasing half-step.  The conjugated dephasing
@@ -41,66 +42,12 @@ import math
 import numpy as np
 
 from . import fock, gaussian, lindblad
-
-FRAME_KINDS = ("displace", "parametric", "free")
+from .gaussian import FrameMap
 
 #: Steps whose rho-independent work (maps, matrices, eigendecompositions) is
 #: batched together.  A chunk holds a few chunk x N x N stacks, so a larger
 #: one trades memory for fewer numpy calls.
 _CHUNK = 8
-
-
-@dataclass(frozen=True)
-class FrameMap:
-    """Affine Heisenberg map V† a V = mu a + nu a† + c.
-
-    mu, nu and c may be arrays of one shape: the map then stands for a batch
-    of maps, and `lowering_matrix` returns a stack of matrices.
-    """
-
-    mu: complex = 1.0
-    nu: complex = 0.0
-    c: complex = 0.0
-
-    def compose_local(self, alpha, beta, delta):
-        """Map after one more local unitary with U† a U = alpha a + beta a† + delta.
-
-        V_new = U_local V, so V_new† a V_new = V† (alpha a + beta a† + delta) V.
-        """
-        return FrameMap(
-            mu=alpha * self.mu + beta * np.conj(self.nu),
-            nu=alpha * self.nu + beta * np.conj(self.mu),
-            c=alpha * self.c + beta * np.conj(self.c) + delta,
-        )
-
-    def lowering_matrix(self, space):
-        """Dense N x N matrix of mu a + nu a† + c on the frame space, with
-        the shape of mu, nu and c in front for a batch of maps."""
-        a = fock.ladder_lowering(space)
-        mu, nu, c = (np.asarray(x)[..., None, None] for x in (self.mu, self.nu, self.c))
-        return mu * a + nu * a.conj().T + c * np.eye(space.dim)
-
-    @property
-    def squeeze_magnitude(self):
-        """Residual Bogoliubov mixing |nu| (0 when V is displacement+rotation)."""
-        return abs(self.nu)
-
-
-def _local_affine(segment, tau):
-    """U_local(tau)† a U_local(tau) for the first `tau` seconds of a segment.
-
-    `tau` may be an array; the coefficients that depend on it follow its shape.
-    """
-    if segment.kind == "free":
-        return 1.0, 0.0, 0.0
-    if segment.kind == "displace":
-        return 1.0, 0.0, segment.strength * tau * cmath.exp(1j * segment.phase)
-    if segment.kind == "parametric":
-        r = segment.strength * tau
-        return np.cosh(r), -cmath.exp(1j * segment.phase) * np.sinh(r), 0.0
-    raise ValueError(
-        f"segment kind {segment.kind!r} is not Gaussian; use the dense engine for it"
-    )
 
 
 def _dagger(m):
@@ -135,7 +82,7 @@ def _segment_step_run(rho, base_map, segment, noise, n_steps):
     basis = np.eye(dim, dtype=complex)  # rho is carried as basis† rho basis
     for start in range(0, n_steps, _CHUNK):
         tau = (np.arange(start, min(start + _CHUNK, n_steps)) + 0.5) * dt
-        fmap = base_map.compose_local(*_local_affine(segment, tau))
+        fmap = base_map.compose_local(gaussian.segment_map(segment, tau))
         A = np.broadcast_to(fmap.lowering_matrix(space), tau.shape + rho.shape)
         if gamma:
             q, V = np.linalg.eigh(_dagger(A) @ A)
@@ -166,7 +113,7 @@ def evolve_frame_segment(rho, base_map, segment, noise, tol=1e-7, min_steps=4,
     `min_steps` under `lindblad.extrapolated_doubling` until two
     extrapolations agree within `tol`, up to min_steps * 2^max_doublings steps.
     """
-    end_map = base_map.compose_local(*_local_affine(segment, segment.duration))
+    end_map = base_map.compose_local(gaussian.segment_map(segment, segment.duration))
     if noise.is_zero or not segment.noise_active:
         return rho, end_map
     return lindblad.extrapolated_doubling(
@@ -223,8 +170,7 @@ def run_gaussian_sequence_frame(seq, noise, space=None, tol=1e-7):
     is the ground state, as in the amplification protocol.
     """
     for segment in seq.segments:
-        if segment.kind not in FRAME_KINDS:
-            raise ValueError(f"frame engine does not support segment kind {segment.kind!r}")
+        gaussian.segment_map(segment, 0.0)  # ValueError on a kind that is not Gaussian
     if space is None:
         space = fock.FockSpace(48)
     rho = np.zeros((space.dim, space.dim), dtype=complex)

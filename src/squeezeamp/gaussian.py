@@ -1,11 +1,16 @@
-"""Displacement and squeezing operators, analytic state constructors, and
-the noiseless amplification identity S†(ξ) D(α_i) S(ξ) = D(α_f).
+"""Displacement and squeezing operators, the affine Bogoliubov map they
+generate, analytic state constructors, and the noiseless amplification
+identity S†(ξ) D(α_i) S(ξ) = D(α_f).
 
 Conventions (frozen library-wide):
     D(α) = exp(α a† - α* a)
     S(ξ) = exp((ξ* a² - ξ a†²)/2),  ξ = r e^{iθ}
     S†(ξ) a S(ξ) = a cosh r - a† e^{iθ} sinh r
 so a real displacement along the θ=0 axis is amplified with gain G = e^r.
+
+Every Gaussian unitary here acts on the ladder operator as one `FrameMap`
+a -> μ a + ν a† + c (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)); the
+frame engine, the drive check, the gain law and the pure states use it.
 
 Analytic constructors are the production path; matrix exponentials (built
 from the same ladder operators) are kept as the independent test oracle.
@@ -53,9 +58,81 @@ class SqueezeParam:
     def from_xi(cls, xi):
         return cls(abs(xi), cmath.phase(xi) % (2 * math.pi))
 
-    def inverse(self):
-        """Parameter of the anti-squeeze S†(ξ) = S(r, θ+π)."""
-        return SqueezeParam(self.r, self.theta + math.pi)
+
+@dataclass(frozen=True)
+class FrameMap:
+    """Affine Bogoliubov map U† a U = mu a + nu a† + c of a Gaussian unitary U.
+
+    mu, nu and c may be arrays of one shape: the map then stands for a batch
+    of maps, and `lowering_matrix` returns a stack of matrices.
+    """
+
+    mu: complex = 1.0
+    nu: complex = 0.0
+    c: complex = 0.0
+
+    @classmethod
+    def squeeze(cls, r, theta):
+        """Map of S(r e^{iθ}): mu = cosh r, nu = -e^{iθ} sinh r; r may be an array."""
+        math.cosh(np.max(np.abs(r)))  # OverflowError where np.cosh would give inf
+        return cls(np.cosh(r), -cmath.exp(1j * theta) * np.sinh(r))
+
+    def compose_local(self, local):
+        """Map of L V, for one more local unitary L whose map is `local`:
+        (L V)† a (L V) = V† (mu_L a + nu_L a† + c_L) V."""
+        return FrameMap(
+            mu=local.mu * self.mu + local.nu * np.conj(self.nu),
+            nu=local.mu * self.nu + local.nu * np.conj(self.mu),
+            c=local.mu * self.c + local.nu * np.conj(self.c) + local.c,
+        )
+
+    def lowering_matrix(self, space):
+        """Dense N x N matrix of mu a + nu a† + c on `space`, with the shape
+        of mu, nu and c in front for a batch of maps."""
+        a = fock.ladder_lowering(space)
+        mu, nu, c = (np.asarray(x)[..., None, None] for x in (self.mu, self.nu, self.c))
+        return mu * a + nu * a.conj().T + c * np.eye(space.dim)
+
+    @property
+    def squeeze_magnitude(self):
+        """Residual Bogoliubov mixing |nu| (0 when U is displacement+rotation)."""
+        return abs(self.nu)
+
+    def vacuum_fidelity(self, other):
+        """|<0|V† U|0>|² for U with this map and V with `other`, both with c = 0:
+        V† U is a squeeze with mu = mu_V* mu_U - nu_V nu_U*, and |<0|S|0>|² = 1/|mu|."""
+        return 1.0 / abs(other.mu.conjugate() * self.mu - other.nu * self.nu.conjugate())
+
+    def amplitudes(self, dim):
+        """Fock amplitudes psi_0 .. psi_(dim-1) of the pure Gaussian state U|0>.
+
+        U|0> is annihilated by U a U† = mu* a - nu a† - gamma, gamma = mu* c - nu c*,
+        so psi_(n+1) = (gamma psi_n + nu √n psi_(n-1)) / (mu* √(n+1)) from
+        psi_0 = exp(-|c|²/2 + nu c*²/(2 mu*)) / √mu*.  Both ratios to mu* are
+        bounded, so no intermediate overflows.
+        """
+        mu_c, nu, c = complex(self.mu).conjugate(), complex(self.nu), complex(self.c)
+        g, q = (mu_c * c - nu * c.conjugate()) / mu_c, nu / mu_c  # gamma/mu*, nu/mu*
+        amps = [cmath.exp(-0.5 * abs(c) ** 2 + 0.5 * q * c.conjugate() ** 2) / cmath.sqrt(mu_c)]
+        prev = 0j
+        for n in range(dim - 1):
+            amps.append((g * amps[n] + q * math.sqrt(n) * prev) / math.sqrt(n + 1))
+            prev = amps[n]
+        return np.array(amps, dtype=complex)
+
+
+def segment_map(segment, tau):
+    """Map of the first `tau` seconds of a Gaussian pulse segment.
+
+    `tau` may be an array; the coefficients that depend on it follow its shape.
+    """
+    if segment.kind == "free":
+        return FrameMap()
+    if segment.kind == "displace":
+        return FrameMap(c=segment.strength * tau * cmath.exp(1j * segment.phase))
+    if segment.kind == "parametric":
+        return FrameMap.squeeze(segment.strength * tau, segment.phase)
+    raise ValueError(f"segment kind {segment.kind!r} is not Gaussian; use the dense engine for it")
 
 
 def displacement_operator(d, space):
@@ -73,33 +150,21 @@ def squeeze_operator(xi, space):
     return fock.expm_antihermitian(K)
 
 
-def coherent_state(d, space, check_tail=True):
-    """|α> with amplitudes e^{-|α|²/2} αⁿ/√(n!) (closed form, no expm)."""
-    amps = np.empty(space.dim, dtype=complex)
-    amps[0] = math.exp(-0.5 * abs(d.alpha) ** 2)
-    for n in range(1, space.dim):
-        amps[n] = amps[n - 1] * d.alpha / math.sqrt(n)
+def _state(space, amps, check_tail):
     state = fock.MotionalState(space, amps)
     if check_tail:
         state.check_tail()
     return state
+
+
+def coherent_state(d, space, check_tail=True):
+    """|α> with amplitudes e^{-|α|²/2} αⁿ/√(n!) (closed form, no expm)."""
+    return _state(space, FrameMap(c=d.alpha).amplitudes(space.dim), check_tail)
 
 
 def squeezed_vacuum(xi, space, check_tail=True):
     """S(ξ)|0>: even amplitudes only, c_{2n} ∝ (-e^{iθ} tanh r)ⁿ √((2n)!)/(2ⁿ n!)."""
-    amps = np.zeros(space.dim, dtype=complex)
-    ratio_base = -cmath.exp(1j * xi.theta) * math.tanh(xi.r)
-    c = 1.0 / math.sqrt(math.cosh(xi.r))
-    amps[0] = c
-    n = 0
-    while 2 * (n + 1) < space.dim:
-        c = c * ratio_base * math.sqrt((2 * n + 1) * (2 * n + 2)) / (2 * (n + 1))
-        amps[2 * (n + 1)] = c
-        n += 1
-    state = fock.MotionalState(space, amps)
-    if check_tail:
-        state.check_tail()
-    return state
+    return _state(space, FrameMap.squeeze(xi.r, xi.theta).amplitudes(space.dim), check_tail)
 
 
 def displaced_squeezed_populations(d, xi, nmax, jac=False):
@@ -167,18 +232,16 @@ def displaced_squeezed_populations(d, xi, nmax, jac=False):
 
 def displaced_squeezed_state(d, xi, space, check_tail=True):
     """Matrix-product construction D(α) S(ξ)|0> (oracle route)."""
-    state = squeezed_vacuum(xi, space, check_tail=False)
-    out = fock.MotionalState(space, displacement_operator(d, space) @ state.amps)
-    if check_tail:
-        out.check_tail()
-    return out
+    vacuum = squeezed_vacuum(xi, space, check_tail=False)
+    return _state(space, displacement_operator(d, space) @ vacuum.amps, check_tail)
 
 
 def amplify_displacement(alpha_i, xi):
-    """Closed-form amplified amplitude α_f = α_i cosh r + α_i* e^{iθ} sinh r."""
-    return alpha_i * math.cosh(xi.r) + np.conj(alpha_i) * cmath.exp(1j * xi.theta) * math.sinh(
-        xi.r
-    )
+    """Amplified amplitude α_f = α_i cosh r + α_i* e^{iθ} sinh r: the offset c
+    of the squeeze, displace, anti-squeeze map S†(ξ) D(α_i) S(ξ)."""
+    squeeze = FrameMap.squeeze(xi.r, xi.theta)
+    anti = FrameMap(squeeze.mu, -squeeze.nu)
+    return complex(squeeze.compose_local(FrameMap(c=alpha_i)).compose_local(anti).c)
 
 
 def gain(xi):

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
+from scipy.special import gammaln
 
 from . import fock, gaussian
 from .errors import DimensionMismatchError
@@ -162,36 +163,42 @@ def bsb_signal(populations, omega, gamma, times):
     return 0.5 * (1.0 + osc.sum(axis=1))
 
 
-def _rsb_pi_weights(nmax):
-    """cos^2(pi sqrt(n)/2) and cos(pi sqrt(n)/2) sin(pi sqrt(n+1)/2) for n < nmax.
+#: Most Poisson terms `f_alpha` sums; its window holds about 20 |a| of them,
+#: so this admits |a| up to about 5e4.
+_F_ALPHA_MAX_TERMS = 1_000_000
+
+
+def _rsb_pi_weights(n):
+    """cos^2(pi sqrt(n)/2) and cos(pi sqrt(n)/2) sin(pi sqrt(n+1)/2) at the levels `n`.
 
     At any Rabi rate an RSB pi-pulse maps |down,n> to
     cos(pi sqrt(n)/2)|down,n> - i sin(pi sqrt(n)/2)|up,n-1>.
     """
-    n = np.arange(nmax)
     cos_n = np.cos(0.5 * math.pi * np.sqrt(n))
     return cos_n**2, cos_n * np.sin(0.5 * math.pi * np.sqrt(n + 1))
 
 
-def f_alpha(alpha_abs, nmax=None):
+def f_alpha(alpha_abs):
     """Fringe-amplitude reduction factor of the exact PSRSB signal.
 
-    f(|a|) = sum_n e^{-|a|^2} |a|^{2n}/n! cos(pi sqrt(n)/2) sin(pi sqrt(n+1)/2)/sqrt(n+1).
+    f(|a|) = sum_n e^{-|a|^2} |a|^{2n}/n! cos(pi sqrt(n)/2) sin(pi sqrt(n+1)/2)/sqrt(n+1),
+    summed over the Poisson window |a|^2 +- 10 sqrt(|a|^2 + 1), and at least
+    over n < 30.  Raises ValueError where that window holds more than
+    `_F_ALPHA_MAX_TERMS` terms.
     """
     alpha_abs = abs(alpha_abs)
-    if nmax is None:
-        nmax = max(30, int(math.ceil(alpha_abs**2 + 10 * math.sqrt(alpha_abs**2 + 1))))
-    n = np.arange(nmax)
     if alpha_abs == 0:
-        weights = np.zeros(nmax)
-        weights[0] = 1.0
-    else:
-        logw = -(alpha_abs**2) + 2 * n * math.log(alpha_abs) - np.array(
-            [math.lgamma(k + 1) for k in n]
-        )
-        weights = np.exp(logw)
-    terms = _rsb_pi_weights(nmax)[1] / np.sqrt(n + 1)
-    return float(np.sum(weights * terms))
+        return 1.0
+    mean = alpha_abs**2
+    half = 10 * math.sqrt(mean + 1)
+    lo, hi = max(0, math.floor(mean - half)), max(30, math.ceil(mean + half))
+    if hi - lo > _F_ALPHA_MAX_TERMS:
+        raise ValueError(
+            f"f_alpha at |alpha| = {alpha_abs:.4g} needs {hi - lo} Poisson terms, "
+            f"more than the {_F_ALPHA_MAX_TERMS} it sums")
+    n = np.arange(lo, hi)
+    weights = np.exp(-mean + 2 * n * math.log(alpha_abs) - gammaln(n + 1))
+    return float(np.sum(weights * _rsb_pi_weights(n)[1] / np.sqrt(n + 1)))
 
 
 def psrsb_pdown_series(alpha, phi):
@@ -233,7 +240,7 @@ def rsb_readout(rho):
     """
     if rho.kind != "motional":
         raise ValueError("rsb_readout expects a motional density operator")
-    stay, coherence = _rsb_pi_weights(rho.space.dim)
+    stay, coherence = _rsb_pi_weights(np.arange(rho.space.dim))
     p_down = float(np.sum(stay * np.diagonal(rho.matrix).real))
     t_ud = -1j * complex(np.sum(coherence[:-1] * np.diagonal(rho.matrix, -1)))
     return p_down, t_ud

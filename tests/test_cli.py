@@ -63,6 +63,24 @@ class TestSweepCommands:
         assert payload["summary"]["max_over_min"] == pytest.approx(math.e**2, rel=0.05)
 
 
+    def test_noiseless_contrast_alpha_default_config(self, tmp_path):
+        # at 12 us (r = 3.78) only one default contrast stays below 0.25
+        code = cli.main(["contrast-alpha", "--config", write_config(tmp_path),
+                         "--out", str(tmp_path / "c")])
+        assert code == cli.EXIT_OK
+        payload = json.loads((tmp_path / "c" / "contrast_alpha.json").read_text())
+        summary = payload["summary"]
+        assert [f["t_us"] for f in summary["slope_failures"]] == [12.0]
+        assert sorted(summary["slopes"], key=float) == ["2", "4", "6", "8", "10"]
+        assert len(payload["rows"]) == 6 * 7
+
+    def test_noiseless_phase_scan_at_large_r(self, tmp_path):
+        # |alpha_f| = 0.2 e^10: f_alpha sums a window of ~9e4 Poisson terms
+        code = cli.main(["phase-scan", "--r", "10", "--config", write_config(tmp_path),
+                         "--out", str(tmp_path / "p")])
+        assert code == cli.EXIT_OK
+
+
 class TestFitCommand:
     def make_trace(self, tmp_path, alpha=0.7):
         pops = coherent_state(Displacement(alpha), fock.FockSpace(30)).populations()
@@ -264,6 +282,16 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert json.loads(err)["error"] == "OverflowError"
+        assert not (tmp_path / "x").exists()
+
+    def test_fringe_past_the_term_budget_is_runtime_error(self, tmp_path, capsys):
+        # |alpha_f| = 0.2 e^20 ~ 1e8 would need ~2e9 Poisson terms in f_alpha
+        code = cli.main(["phase-scan", "--r", "20", "--config", write_config(tmp_path),
+                         "--out", str(tmp_path / "x")])
+        assert code == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "ValueError"
         assert not (tmp_path / "x").exists()
 
     def test_unknown_subcommand_rejected(self):

@@ -14,7 +14,7 @@ from squeezeamp import (
     ladder_lowering,
     vacuum,
 )
-from squeezeamp import frame, lindblad
+from squeezeamp import frame, gaussian, lindblad
 from squeezeamp.errors import ConvergenceError
 from squeezeamp.fock import DensityOperator
 from squeezeamp.frame import (
@@ -44,8 +44,8 @@ class TestFrameMap:
     def test_displacement_then_squeeze_matches_closed_form(self):
         # V = S(r) D(alpha): V† a V = cosh r (a + alpha) - e^{i theta} sinh r (a† + alpha*)
         alpha, r, theta = 0.2 + 0.1j, 0.8, 0.5
-        m = FrameMap().compose_local(1.0, 0.0, alpha)
-        m = m.compose_local(math.cosh(r), -cmath.exp(1j * theta) * math.sinh(r), 0.0)
+        m = FrameMap().compose_local(FrameMap(c=alpha))
+        m = m.compose_local(FrameMap(math.cosh(r), -cmath.exp(1j * theta) * math.sinh(r)))
         assert m.mu == pytest.approx(math.cosh(r))
         assert m.nu == pytest.approx(-cmath.exp(1j * theta) * math.sinh(r))
         expect_c = alpha * math.cosh(r) - cmath.exp(1j * theta) * math.sinh(r) * np.conj(alpha)
@@ -170,7 +170,7 @@ def _oracle_step_run(rho, base_map, segment, noise, n_steps):
     dt = segment.duration / n_steps
     heating, gamma = noise.heating_rate, noise.dephasing_rate
     for k in range(n_steps):
-        fmap = base_map.compose_local(*frame._local_affine(segment, (k + 0.5) * dt))
+        fmap = base_map.compose_local(gaussian.segment_map(segment, (k + 0.5) * dt))
         A = fmap.lowering_matrix(FockSpace(rho.shape[0]))
         Ad = A.conj().T
         if gamma:
@@ -199,8 +199,8 @@ def _mixed_state(dim, seed=7):
 
 
 SQUEEZED_BASE = FrameMap().compose_local(
-    math.cosh(0.8), -cmath.exp(0.4j) * math.sinh(0.8), 0.0
-).compose_local(1.0, 0.0, 0.3 - 0.2j)
+    FrameMap(math.cosh(0.8), -cmath.exp(0.4j) * math.sinh(0.8))
+).compose_local(FrameMap(c=0.3 - 0.2j))
 # a thousand times the paper's rates, so that a few steps move the state
 STRONG_NOISE = {
     "both": NoiseParams(2e4, 1.8e4),

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from squeezeamp import (
     vacuum,
 )
 from squeezeamp.errors import DimensionMismatchError
-from squeezeamp.gaussian import adequate_truncation, db_to_r, gain
+from squeezeamp.gaussian import FrameMap, adequate_truncation, db_to_r, gain
 
 
 SP = FockSpace(64)
@@ -205,6 +206,58 @@ class TestAmplification:
         xi = SqueezeParam(1.0, theta)
         assert abs(amplify_displacement(0.1, xi)) == pytest.approx(expect_af, rel=1e-12)
         assert amplification_identity_check(0.1, xi, FockSpace(256)) < 1e-6
+
+
+def _closed_form_gain_law(alpha_i, xi):
+    return alpha_i * math.cosh(xi.r) + np.conj(alpha_i) * cmath.exp(1j * xi.theta) * math.sinh(
+        xi.r
+    )
+
+
+class TestFrameMap:
+    @pytest.mark.parametrize("alpha, r, theta", [(0.5 + 0.3j, 0.7, 1.2), (2.0, 0.4, 4.0),
+                                                 (-0.3j, 0.5, 0.0)])
+    def test_amplitudes_match_dense_oracle(self, alpha, r, theta):
+        sp = FockSpace(160)
+        fmap = FrameMap(math.cosh(r), -cmath.exp(1j * theta) * math.sinh(r), alpha)
+        ref = displaced_squeezed_state(Displacement(alpha), SqueezeParam(r, theta), sp)
+        assert np.max(np.abs(fmap.amplitudes(160) - ref.amps)) <= 1e-14
+
+    def test_norm_deficit_is_the_tail_mass(self):
+        # 1 - sum |psi_n|^2 over n < 160 is the mass the dense oracle puts above 160
+        alpha, r, theta = 0.5, 1.5, 0.6
+        fmap = FrameMap(math.cosh(r), -cmath.exp(1j * theta) * math.sinh(r), alpha)
+        deficit = 1.0 - np.sum(np.abs(fmap.amplitudes(160)) ** 2)
+        oracle = displaced_squeezed_state(Displacement(alpha), SqueezeParam(r, theta),
+                                          FockSpace(400)).populations()
+        assert deficit > 1e-9
+        assert deficit == pytest.approx(np.sum(oracle[160:]), rel=1e-6)
+
+    def test_gain_law_matches_closed_form(self):
+        for alpha, r, theta in itertools.product(
+                (0.2, -0.7 + 0.4j, 3.0, 1e-3j), (0.0, 0.5, 1.0, 2.26, 3.78),
+                np.linspace(0.0, 2 * math.pi, 9)):
+            xi = SqueezeParam(r, theta)
+            want = _closed_form_gain_law(alpha, xi)
+            assert abs(amplify_displacement(alpha, xi) - want) <= 1e-15 * abs(want)
+
+    def test_squeeze_accepts_an_array(self):
+        r = np.array([0.0, 0.5, 2.0])
+        fmap = FrameMap.squeeze(r, 0.3)
+        assert fmap.mu == pytest.approx(np.cosh(r), rel=1e-15)
+        assert fmap.nu == pytest.approx(-cmath.exp(0.3j) * np.sinh(r), rel=1e-15)
+
+    def test_squeeze_overflow_is_an_error(self):
+        with pytest.raises(OverflowError):
+            FrameMap.squeeze(1000.0, 0.0)
+        with pytest.raises(OverflowError):
+            amplify_displacement(0.2, SqueezeParam(1000.0))
+
+    def test_vacuum_fidelity_of_two_squeezes(self):
+        # S(r2)† S(r1) = S(r1 - r2) along one axis, whose vacuum overlap is 1/cosh
+        one, two = FrameMap.squeeze(1.3, 0.7), FrameMap.squeeze(0.4, 0.7)
+        assert one.vacuum_fidelity(two) == pytest.approx(1 / math.cosh(0.9), rel=1e-14)
+        assert one.vacuum_fidelity(one) == pytest.approx(1.0, rel=1e-15)
 
 
 class TestDecibels:

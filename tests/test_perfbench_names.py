@@ -6,7 +6,7 @@ import pathlib
 
 import pytest
 
-from squeezeamp import cli, experiments, frame
+from squeezeamp import cli, experiments, frame, gaussian
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -34,6 +34,12 @@ def test_spans_and_counts_resolve(tracing):
     missing = [name for owner, key, name in tracing.SPANS + tracing.COUNTS
                if not _resolves(owner, key)]
     assert missing == []
+
+
+def test_frame_steps_count_the_one_map_type():
+    # `frame.steps` patches frame.FrameMap.lowering_matrix: a second map class
+    # in `gaussian` would leave that count at zero without a failure
+    assert frame.FrameMap is gaussian.FrameMap
 
 
 def test_capture_targets_resolve():

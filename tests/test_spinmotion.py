@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from squeezeamp import Displacement, FockSpace, SqueezeParam, coherent_state, squeezed_vacuum
 from squeezeamp.errors import DimensionMismatchError
@@ -159,6 +160,19 @@ class TestFAlpha:
     def test_decreases_with_alpha(self):
         vals = [f_alpha(a) for a in (0.0, 0.5, 1.0, 2.0)]
         assert all(x > y for x, y in zip(vals, vals[1:]))
+
+    def test_poisson_window_matches_the_full_sum(self):
+        a = 300.0
+        n = np.arange(int(a * a + 10 * math.sqrt(a * a + 1)) + 1)
+        weights = np.exp(-a * a + 2 * n * math.log(a) - gammaln(n + 1))
+        terms = np.cos(0.5 * math.pi * np.sqrt(n)) * np.sin(0.5 * math.pi * np.sqrt(n + 1))
+        full = float(np.sum(weights * terms / np.sqrt(n + 1)))
+        assert f_alpha(a) == pytest.approx(full, rel=1e-13)
+
+    def test_term_budget(self):
+        # the window at |a| = 1e5 holds 2e6 terms
+        with pytest.raises(ValueError, match="Poisson terms"):
+            f_alpha(1e5)
 
 
 class TestPsrsb:
