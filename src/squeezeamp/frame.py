@@ -30,9 +30,10 @@ V_(k-1)† V_k.  Without dephasing rho stays in the Fock basis.
 Every step is symmetric (the generator is frozen at the step midpoint and
 the dephasing half-steps are exact; RK4 heating breaks the symmetry only at
 dt^5 a step), as `lindblad.extrapolated_doubling`, the step controller both
-noisy engines share, requires.  No substep runs backwards, as in higher-order
-compositions: a negative dephasing step would grow coherences by
-exp(+Gamma |dt| q^2 / 4).
+noisy engines share, requires: its Romberg table over runs at 4, 8, 16, ...
+steps cancels the even error terms dt^2, dt^4, ... one more per run.  No
+substep runs backwards, as in higher-order compositions: a negative
+dephasing step would grow coherences by exp(+Gamma |dt| q^2 / 4).
 """
 
 from dataclasses import dataclass
@@ -110,8 +111,8 @@ def evolve_frame_segment(rho, base_map, segment, noise, tol=1e-7, min_steps=4,
 
     Returns (rho, map after the segment).  The coherent part is absorbed in
     the map update; only noise touches rho.  Strang runs double from
-    `min_steps` under `lindblad.extrapolated_doubling` until two
-    extrapolations agree within `tol`, up to min_steps * 2^max_doublings steps.
+    `min_steps` under `lindblad.extrapolated_doubling` until the tops of two
+    Romberg rows agree within `tol`, up to min_steps * 2^max_doublings steps.
     """
     end_map = base_map.compose_local(gaussian.segment_map(segment, segment.duration))
     if noise.is_zero or not segment.noise_active:

@@ -8,9 +8,11 @@ treated as noiseless during sideband pulses.
 Evolution uses a Strang split per step: an exact unitary half-step (the
 Hamiltonian propagator from an eigendecomposition), a classical 4th-order
 Runge-Kutta step of the dissipator, and a second unitary half-step.  The
-split is symmetric, so `extrapolated_doubling`, the step controller shared
-with `frame`, extrapolates runs at 4, 8, 16, ... steps to fourth order; a
-segment not converged at its step ceiling raises ConvergenceError.
+split is symmetric, so its error is even in dt, and `extrapolated_doubling`,
+the step controller shared with `frame`, builds a Romberg table over runs at
+4, 8, 16, ... steps: k runs cancel the error terms through dt^(2k-2).  A
+segment not converged at its step ceiling, or whose run is not finite,
+raises ConvergenceError.
 
 The dissipator costs O(N^2): a is bidiagonal, so the heating terms are
 shifted slices of rho with sqrt(n) weights, and dephasing is elementwise.
@@ -224,29 +226,39 @@ def trace_distance(m1, m2):
 def extrapolated_doubling(run, tol, min_steps, max_steps, engine, kind=None):
     """`run(n_steps)` of a symmetric step scheme, converged by step doubling.
 
-    Runs at n, 2n, 4n, ... steps from `min_steps` extrapolate pairwise to
-    R(n) = (4 S(2n) - S(n)) / 3, cancelling the dt^2 error; R(2n) is returned
-    once trace_distance(R(n), R(2n)) < tol, else ConvergenceError follows the
-    first run of >= `max_steps` steps.  Success logs one DEBUG record whose
-    attributes `engine`, `kind`, `steps` (every run) and `distance` say how.
+    Runs at n, 2n, 4n, ... steps from `min_steps` fill a Romberg table: each
+    run S starts a row at T_0 = S and extends it by
+    T_j = T_(j-1) + (T_(j-1) - T'_(j-1)) / (4^j - 1), T' the previous row, so
+    the top entry of the row of k runs cancels the error terms in dt^2, dt^4,
+    ..., dt^(2k-2).  From the third run on, the new row's top entry is
+    returned once its trace distance to the previous row's top entry is
+    below `tol`; else ConvergenceError follows the first run of >=
+    `max_steps` steps, or any run whose matrix is not finite.  Success logs
+    one DEBUG record whose attributes `engine`, `kind`, `steps` (every run)
+    and `distance` say how.
     """
     if min_steps < 1 or 2 * min_steps >= max_steps:
         raise ValueError("need min_steps >= 1 and max_steps > 2 * min_steps (three runs)")
-    steps = [min_steps]
-    coarse, previous = run(min_steps), None
-    while steps[-1] < max_steps:
-        steps.append(2 * steps[-1])
-        fine = run(steps[-1])
-        extrapolated = (4.0 * fine - coarse) / 3.0
-        if previous is not None:
-            distance = trace_distance(previous, extrapolated)
+    name = f"{engine} {kind or 'segment'}"
+    steps, row = [min_steps], []
+    while True:
+        with np.errstate(over="ignore", invalid="ignore"):
+            new_row = [run(steps[-1])]
+        if not np.all(np.isfinite(new_row[0])):
+            raise ConvergenceError(f"{name} run of {steps[-1]} steps is not finite")
+        for j, coarser in enumerate(row, start=1):
+            new_row.append(new_row[-1] + (new_row[-1] - coarser) / (4.0**j - 1.0))
+        if len(row) >= 2:
+            distance = trace_distance(row[-1], new_row[-1])
             if distance < tol:
                 record = dict(engine=engine, kind=kind, steps=tuple(steps), distance=distance)
-                _log.debug("%s %s converged, steps %s, distance %.3g", engine, kind or "segment",
+                _log.debug("%s converged, steps %s, distance %.3g", name,
                            "/".join(map(str, steps)), distance, extra=record)
-                return extrapolated
-        coarse, previous = fine, extrapolated
-    raise ConvergenceError(f"{engine} {kind or 'segment'} not converged after {steps[-1]} steps")
+                return new_row[-1]
+        if steps[-1] >= max_steps:
+            raise ConvergenceError(f"{name} not converged after {steps[-1]} steps")
+        row = new_row
+        steps.append(2 * steps[-1])
 
 
 def lindblad_evolve(rho, H, noise, t, tol=1e-7, min_steps=4, max_doublings=10):

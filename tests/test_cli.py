@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -292,6 +293,21 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert json.loads(err)["error"] == "ValueError"
+        assert not (tmp_path / "x").exists()
+
+    def test_non_finite_noisy_run_is_convergence_error(self, tmp_path, capsys):
+        # r = 30 cannot be held in the default 48 frame levels: the heating
+        # steps overflow
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["phase-scan", "--r", "30", "--out", str(tmp_path / "x")])
+        assert code == cli.EXIT_RUNTIME
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "ConvergenceError"
+        assert "not finite" in record["message"]
         assert not (tmp_path / "x").exists()
 
     def test_unknown_subcommand_rejected(self):

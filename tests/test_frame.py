@@ -259,6 +259,32 @@ class _RecordedRuns:
         return self.step_run(rho, base_map, segment, noise, n_steps)
 
 
+def _one_level_doubling(run, tol, min_steps, max_steps, engine, kind=None):
+    """The step controller with one Richardson level: pairs extrapolate to
+    R(n) = (4 S(2n) - S(n)) / 3, and R(2n) is accepted once within `tol` of
+    R(n) (oracle)."""
+    n_steps = min_steps
+    coarse, previous = run(n_steps), None
+    while n_steps < max_steps:
+        n_steps *= 2
+        fine = run(n_steps)
+        extrapolated = (4 * fine - coarse) / 3
+        if previous is not None and trace_distance(previous, extrapolated) < tol:
+            return extrapolated
+        coarse, previous = fine, extrapolated
+    raise ConvergenceError(f"not converged after {n_steps} steps")
+
+
+def _plain_doubling_sequence(seq, dim, tol):
+    """Frame state after `seq`, each segment converged by plain doubling."""
+    rho, fmap = _ground(dim), FrameMap()
+    for segment in seq.segments:
+        _, rho = _plain_doubling_steps(rho, fmap, segment, SENSITIVITY_NOISE,
+                                       frame._segment_step_run, tol=tol)
+        fmap = fmap.compose_local(gaussian.segment_map(segment, segment.duration))
+    return rho
+
+
 def _ground(dim):
     rho = np.zeros((dim, dim), dtype=complex)
     rho[0, 0] = 1.0
@@ -291,6 +317,29 @@ class TestExtrapolatedDoubling:
         extrapolated = [(4 * fine - coarse) / 3 for coarse, fine in zip(runs, runs[1:])]
         d = [trace_distance(a, b) for a, b in zip(extrapolated, extrapolated[1:])]
         assert 12 < d[0] / d[1] < 20
+
+    @pytest.mark.parametrize("t_us, tight_tol", [(2.0, 1e-10), (4.0, 1e-9)])
+    def test_sequence_closer_to_tight_plain_doubling_than_one_level(self, t_us, tight_tol,
+                                                                    monkeypatch):
+        # the reference is off by <= tight_tol / 3, well below the one-level
+        # error at the default tol (2.7e-10 at 2 us, 3.6e-9 at 4 us)
+        seq = amplification_sequence(0.005, G * t_us * 1e-6, G, 5e-6)
+        tight = _plain_doubling_sequence(seq, 8, tight_tol)
+        got = run_gaussian_sequence_frame(seq, SENSITIVITY_NOISE, space=FockSpace(8)).rho
+        monkeypatch.setattr(lindblad, "extrapolated_doubling", _one_level_doubling)
+        one_level = run_gaussian_sequence_frame(seq, SENSITIVITY_NOISE, space=FockSpace(8)).rho
+        assert trace_distance(got, tight) < trace_distance(one_level, tight)
+
+    def test_second_romberg_level_is_sixth_order(self):
+        # the error is even in dt through dt^6, so the table's second level
+        # leaves dt^6: its distances fall 2^6 per doubling (measured 62.7)
+        rho, segment = _ground(12), _pre_squeeze(6.0)
+        runs = [frame._segment_step_run(rho, FrameMap(), segment, SENSITIVITY_NOISE, 8 * 2**k)
+                for k in range(5)]
+        level1 = [(4 * fine - coarse) / 3 for coarse, fine in zip(runs, runs[1:])]
+        level2 = [fine + (fine - coarse) / 15 for coarse, fine in zip(level1, level1[1:])]
+        d = [trace_distance(a, b) for a, b in zip(level2, level2[1:])]
+        assert 48 < d[0] / d[1] < 80
 
     @pytest.mark.parametrize("max_doublings, expect", [
         (3, [4, 8, 16, 32]),

@@ -1,5 +1,6 @@
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from squeezeamp.lindblad import (
     _motional_hamiltonian,
     _noise_operators,
     _strang_run,
+    extrapolated_doubling,
     lindblad_evolve,
     run_sequence,
     segment_hamiltonian,
@@ -382,6 +384,44 @@ def _squeeze_block(dim, t=2e-6):
     space = FockSpace(dim)
     H = _motional_hamiltonian(Segment("parametric", t, 0.3, G_PAPER), space)
     return DensityOperator.from_motional(vacuum(space)), H
+
+
+# a run with even error terms through dt^6, the shape a symmetric scheme's has
+SYNTHETIC_LIMIT = np.diag([0.6, 0.3, 0.1])
+SYNTHETIC_TERMS = (np.diag([0.5, -1.0, 0.5]), np.diag([-2.0, 1.0, 1.0]),
+                   np.diag([3.0, -1.0, -2.0]))
+
+
+def _synthetic_run(n_steps):
+    return SYNTHETIC_LIMIT + sum(c / n_steps**(2 * j) for j, c in enumerate(SYNTHETIC_TERMS, 1))
+
+
+class TestRombergTable:
+    def test_cancels_every_even_order_of_a_synthetic_run(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger=lindblad.__name__):
+            got = extrapolated_doubling(_synthetic_run, 1e-7, 4, 4096, "synthetic")
+        (record,) = [r for r in caplog.records if r.name == lindblad.__name__]
+        # four runs cancel dt^2 ... dt^6; the fifth confirms it
+        assert record.steps == (4, 8, 16, 32, 64)
+        assert np.max(np.abs(got - SYNTHETIC_LIMIT)) <= 1e-13
+        # one Richardson level over the same last pair leaves the dt^4 term
+        one_level = (4 * _synthetic_run(64) - _synthetic_run(32)) / 3
+        assert np.max(np.abs(one_level - SYNTHETIC_LIMIT)) > 1e-7
+
+    def test_non_finite_run_raises_at_once_without_warnings(self):
+        log = []
+
+        def run(n_steps):
+            log.append(n_steps)
+            # overflows to inf, then inf - inf = nan, from 16 steps on
+            scale = np.exp(np.float64(n_steps * 50.0))
+            return _synthetic_run(n_steps) * scale - _synthetic_run(n_steps) * scale
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="frame parametric run of 16 steps"):
+                extrapolated_doubling(run, 1e-7, 4, 4096, "frame", "parametric")
+        assert log == [4, 8, 16]
 
 
 class TestExtrapolatedDoubling:
