@@ -23,7 +23,7 @@ from .fitting import (
     fit_state_model,
     snr_and_enhancement,
 )
-from .frame import amplification_sequence, amplify_with_noise, run_gaussian_sequence_frame
+from .frame import amplify_with_noise
 from .lindblad import NoiseParams
 
 #: Stable per-experiment stream identifiers for counter-based sampling.
@@ -500,10 +500,8 @@ def run_unitarity_check(cfg):
         if cfg.noiseless or r == 0:
             p0, p_down = 1.0, 1.0
         else:
-            res = run_gaussian_sequence_frame(
-                amplification_sequence(0.0, r, cfg.g), cfg.noise,
-                fock.FockSpace(cfg["frame_truncation"]),
-            )
+            res = amplify_with_noise(0.0, r, cfg.noise, cfg.g,
+                                     frame_space=fock.FockSpace(cfg["frame_truncation"]))
             rho = res.lab_density(res.space)
             p0 = float(rho.motional_populations()[0])
             p_down, _ = spinmotion.rsb_readout(rho)

@@ -13,31 +13,53 @@ of the ladder operator, a -> mu a + nu a† + c: a `gaussian.FrameMap`, built
 for each segment by `gaussian.segment_map`.  The frame state stays close to
 the vacuum, so a few dozen Fock levels suffice at any r.
 
-Each step is a Strang split at the step midpoint: a dephasing half-step,
-an RK4 heating step, a dephasing half-step.  The conjugated dephasing
-operator Gamma^(1/2) A†A acquires matrix elements of order e^{2r} n, making
-a generic explicit integrator stiff; since it is Hermitian and constant
-within a step, its half-steps are exact in its own eigenbasis V_k, where the
-element (i, j) decays by exp(-Gamma dt (q_i - q_j)^2 / 4).
+Each step is a Strang split at the step midpoint,
 
-Nothing but rho depends on the step before, so the maps, the matrices A_k
-and the eigendecompositions of A_k†A_k are built for a chunk of steps at
-once from array-valued times.  rho is carried in the eigenbasis of the
-current step: both half-steps are then elementwise products, heating runs
-on V_k† A_k V_k, and consecutive steps are joined by the one basis change
-V_(k-1)† V_k.  Without dephasing rho stays in the Fock basis.
+    D(h/2) Z1(h/2) Z2(h) Z1(h/2) D(h/2),
 
-Every step is symmetric (the generator is frozen at the step midpoint and
-the dephasing half-steps are exact; RK4 heating breaks the symmetry only at
-dt^5 a step), as `lindblad.extrapolated_doubling`, the step controller both
-noisy engines share, requires: its Romberg table over runs at 4, 8, 16, ...
-steps cancels the even error terms dt^2, dt^4, ... one more per run.  No
-substep runs backwards, as in higher-order compositions: a negative
-dephasing step would grow coherences by exp(+Gamma |dt| q^2 / 4).
+of exact channels only.  D is dephasing: the conjugated operator
+Gamma^(1/2) A†A acquires matrix elements of order e^{2r} n, making a generic
+explicit integrator stiff, but it is Hermitian and constant within a step,
+so D is exact in its eigenbasis V_k, where the element (i, j) decays by
+exp(-Gamma t (q_i - q_j)^2 / 2).  Z1 and Z2 are heating.  With
+A = (x' + i p')/√2 + c, where (x', p') = S (x, p) and S is the map's real
+2 x 2 quadrature matrix (det S = 1),
+
+    D[A] + D[A†] = D[x'] + D[p'] = lam1 D[z1] + lam2 D[z2]
+
+holds exactly for the truncated matrices: heating is covariant under
+displacements, so c drops out, and D is bilinear in its jump operator, so
+SᵀS = R diag(lam1, lam2) Rᵀ turns it into diffusion along the two
+quadratures z1 = cos(phi) x + sin(phi) p and z2 (z1 turned by pi/2), with
+lam1 lam2 = 1 (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)).  Each
+D[z] is a pure dephasing with a Hermitian jump operator, exact in z's
+eigenbasis, where the element (i, j) decays by exp(-lam t (xi_i - xi_j)^2 / 2).
+Since z(phi) = P x P† with P = diag(e^{i phi n}), every such eigenbasis is
+the one eigenbasis U of the truncated x turned by a diagonal phase, and the
+basis change from z1 to z2 is the same C = U† diag(i^n) U for every phi.
+U and C are computed once per dimension.  The split of Z1 and Z2 is exact up
+to the truncation edge, where [x, p] = i (1 - N |N-1><N-1|).
+
+Nothing but rho depends on the step before, so the maps, the matrices A_k,
+the eigendecompositions of A_k†A_k and the heating eigenbases are built for
+a chunk of steps at once from array-valued times.  rho is carried in the
+eigenbasis of the current step's first substep, V_k, or the z1 eigenbasis
+without dephasing: every decay is then an elementwise product, and each
+substep costs one basis change.
+
+Every substep is an exact completely positive map, so rho stays positive at
+any dt, and every step is exactly symmetric (the generator is frozen at the
+step midpoint and the split is a palindrome), as
+`lindblad.extrapolated_doubling`, the step controller both noisy engines
+share, requires: its Romberg table over runs at 4, 8, 16, ... steps cancels
+the even error terms dt^2, dt^4, ... one more per run.  No substep runs
+backwards, as in higher-order compositions: a negative dephasing step would
+grow coherences by exp(+Gamma |dt| q^2 / 4).
 """
 
 from dataclasses import dataclass
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -50,28 +72,39 @@ from .gaussian import FrameMap
 #: one trades memory for fewer numpy calls.
 _CHUNK = 8
 
+#: Largest residual squeezing |nu| of a total sequence map that counts as
+#: none: `FrameResult.lab_density` needs the map to be displacement plus
+#: rotation.
+SQUEEZE_RESIDUAL_TOL = 1e-9
+
 
 def _dagger(m):
     return m.conj().swapaxes(-1, -2)
 
 
-def _heating_step(rho, A, pair, h):
-    """RK4 step of rho' = A rho A† + A† rho A - H rho - rho H over h = rate dt,
-    with H = (A†A + A A†) / 2 and `pair` = A stacked on A† by rows.
+@functools.cache
+def _quadrature_basis(dim):
+    """(xi, U, C): the eigenvalues xi and real eigenvectors U of the truncated
+    x = (a + a†)/√2, and C = U† diag(i^n) U, which takes rho from the
+    eigenbasis of z(phi) to that of z(phi + pi/2) at every phi."""
+    a = fock.ladder_lowering(fock.FockSpace(dim)).real
+    xi, U = np.linalg.eigh((a + a.T) / math.sqrt(2))
+    C = U.T @ (np.array([1, 1j, -1, -1j])[np.arange(dim) % 4, None] * U)
+    for m in (xi, U, C):
+        m.flags.writeable = False
+    return xi, U, C
 
-    The generator equals -(E + E†) / 2 with E = [A, [A†, rho]], and for
-    Hermitian rho [A†, rho] = A† rho - (A rho)†: four matrix products an
-    evaluation.  For this linear generator RK4 is the fourth-order Taylor
-    polynomial of the step, taken here in Horner form.
-    """
-    dim = rho.shape[0]
-    out = rho
-    for j in (4, 3, 2, 1):
-        a_out, ad_out = (pair @ out).reshape(2, dim, dim)
-        comm = ad_out - _dagger(a_out)
-        e = A @ comm - comm @ A
-        out = rho - (0.5 * h / j) * (e + _dagger(e))
-    return out
+
+def _heating_axes(fmap):
+    """(lam1, lam2, phi) with D[A] + D[A†] = lam1 D[z(phi)] + lam2 D[z(phi + pi/2)]
+    for A the map's lowering matrix and z(phi) = cos(phi) x + sin(phi) p:
+    lam1 >= lam2 = 1/lam1 are the eigenvalues of SᵀS, S the map's quadrature
+    matrix, and (cos phi, sin phi) is lam1's eigenvector."""
+    S = fmap.quadrature_matrix
+    g = S.swapaxes(-1, -2) @ S
+    half_diff, off = 0.5 * (g[..., 0, 0] - g[..., 1, 1]), g[..., 0, 1]
+    lam1 = 0.5 * (g[..., 0, 0] + g[..., 1, 1]) + np.hypot(half_diff, off)
+    return lam1, 1.0 / lam1, 0.5 * np.arctan2(off, half_diff)
 
 
 def _segment_step_run(rho, base_map, segment, noise, n_steps):
@@ -81,27 +114,46 @@ def _segment_step_run(rho, base_map, segment, noise, n_steps):
     dim = rho.shape[0]
     space = fock.FockSpace(dim)
     basis = np.eye(dim, dtype=complex)  # rho is carried as basis† rho basis
+    if heating:
+        xi, U, C = _quadrature_basis(dim)
+        Cd = C.conj().T
+        spread = (xi[:, None] - xi[None, :]) ** 2
+        levels = np.arange(dim)[:, None]
     for start in range(0, n_steps, _CHUNK):
         tau = (np.arange(start, min(start + _CHUNK, n_steps)) + 0.5) * dt
         fmap = base_map.compose_local(gaussian.segment_map(segment, tau))
-        A = np.broadcast_to(fmap.lowering_matrix(space), tau.shape + rho.shape)
+        if heating:
+            lam1, lam2, phi = np.broadcast_arrays(*_heating_axes(fmap), tau)[:3]
+            Z = np.exp(1j * phi[:, None, None] * levels) * U  # P_phi U, the z1 eigenbases
+            z1 = np.exp(-0.25 * heating * dt * lam1[:, None, None] * spread)
+            z2 = np.exp(-0.5 * heating * dt * lam2[:, None, None] * spread)
         if gamma:
+            A = np.broadcast_to(fmap.lowering_matrix(space), tau.shape + rho.shape)
             q, V = np.linalg.eigh(_dagger(A) @ A)
             decay = np.exp(-0.25 * gamma * dt * (q[:, :, None] - q[:, None, :]) ** 2)
-            W = _dagger(np.concatenate((basis[None], V[:-1]))) @ V
-            Wd = _dagger(W)
-            basis = V[-1]
-        if heating:
-            if gamma:
-                A = _dagger(V) @ A @ V
-            pair = np.concatenate((A, _dagger(A)), axis=1)
-        for k in range(len(tau)):
-            if gamma:
-                rho = (Wd[k] @ rho @ W[k]) * decay[k]
             if heating:
-                rho = _heating_step(rho, A[k], pair[k], heating * dt)
+                T = _dagger(V) @ Z
+                Td = _dagger(T)
+        rest = V if gamma else Z  # the basis rho rests in between steps
+        W = _dagger(np.concatenate((basis[None], rest[:-1]))) @ rest
+        Wd = _dagger(W)
+        basis = rest[-1]
+        for k in range(len(tau)):
+            rho = Wd[k] @ rho @ W[k]  # a new array: the decays below act in place
             if gamma:
-                rho = rho * decay[k]
+                rho *= decay[k]
+                if heating:
+                    rho = Td[k] @ rho @ T[k]
+            if heating:
+                rho *= z1[k]
+                rho = Cd @ rho @ C
+                rho *= z2[k]
+                rho = C @ rho @ Cd
+                rho *= z1[k]
+                if gamma:
+                    rho = T[k] @ rho @ Td[k]
+            if gamma:
+                rho *= decay[k]
     return basis @ rho @ _dagger(basis)
 
 
@@ -137,7 +189,7 @@ class FrameResult:
         at = complex(np.trace(a @ self.rho))
         return self.fmap.mu * at + self.fmap.nu * np.conj(at) + self.fmap.c
 
-    def lab_density(self, lab_space=None, residual_tol=1e-9):
+    def lab_density(self, lab_space=None, residual_tol=SQUEEZE_RESIDUAL_TOL):
         """Reconstruct the lab-frame density operator rho = V rho~ V†.
 
         Requires the total map to be displacement plus rotation (|nu| small):
@@ -219,9 +271,22 @@ def amplify_with_noise(alpha_i, r, noise, g, displace_duration=5e-6, theta=0.0,
 
     Returns a FrameResult whose map carries the ideal alpha_f and whose
     density matrix carries the decoherence accumulated in the frame.
+
+    Raises FloatingPointError before any step when the noiseless map keeps
+    a residual squeezing |nu| above `SQUEEZE_RESIDUAL_TOL`: in float64 the
+    anti-squeeze cannot undo a squeeze from r ~ 8.7 up, and `lab_density`
+    would refuse the result.
     """
     seq = amplification_sequence(
         alpha_i, r, g, displace_duration, theta,
         noise_during_displacement=noise_during_displacement,
     )
+    fmap = FrameMap()
+    for segment in seq.segments:
+        fmap = fmap.compose_local(gaussian.segment_map(segment, segment.duration))
+    if fmap.squeeze_magnitude > SQUEEZE_RESIDUAL_TOL:
+        raise FloatingPointError(
+            f"squeeze r = {r:g} cannot be undone in float64: the noiseless map keeps "
+            f"|nu| = {fmap.squeeze_magnitude:.2e}, above the residual "
+            f"{SQUEEZE_RESIDUAL_TOL:g} that lab_density accepts")
     return run_gaussian_sequence_frame(seq, noise, space=frame_space, tol=tol)

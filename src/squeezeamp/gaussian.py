@@ -94,6 +94,19 @@ class FrameMap:
         return mu * a + nu * a.conj().T + c * np.eye(space.dim)
 
     @property
+    def quadrature_matrix(self):
+        """Real 2 x 2 matrix S of the linear part on the quadratures
+        x = (a + a†)/√2 and p = (a - a†)/(i√2): U† x U = x' + √2 Re c and
+        U† p U = p' + √2 Im c, with
+
+            x' = Re(mu + nu) x - Im(mu - nu) p,  p' = Im(mu + nu) x + Re(mu - nu) p,
+
+        and det S = |mu|² - |nu|² = 1.  The map of L V has S_L S_V.  For a
+        batch of maps the matrices are stacked as (..., 2, 2)."""
+        s, d = np.asarray(self.mu + self.nu), np.asarray(self.mu - self.nu)
+        return np.stack((np.stack((s.real, -d.imag), -1), np.stack((s.imag, d.real), -1)), -2)
+
+    @property
     def squeeze_magnitude(self):
         """Residual Bogoliubov mixing |nu| (0 when U is displacement+rotation)."""
         return abs(self.nu)

@@ -4,12 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
 import pytest
 
-from squeezeamp import cli, fock
+from squeezeamp import cli, fock, frame
 from squeezeamp.fitting import RabiTrace
 from squeezeamp.gaussian import Displacement, coherent_state
 from squeezeamp.spinmotion import bsb_signal
@@ -295,9 +296,9 @@ class TestErrorHandling:
         assert json.loads(err)["error"] == "ValueError"
         assert not (tmp_path / "x").exists()
 
-    def test_non_finite_noisy_run_is_convergence_error(self, tmp_path, capsys):
-        # r = 30 cannot be held in the default 48 frame levels: the heating
-        # steps overflow
+    def test_squeeze_float64_cannot_undo_is_floating_point_error(self, tmp_path, capsys):
+        # at r = 30 the noiseless map keeps |nu| ~ 3.5e9 after the
+        # anti-squeeze: refused before any noisy step
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = cli.main(["phase-scan", "--r", "30", "--out", str(tmp_path / "x")])
@@ -306,8 +307,23 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         record = json.loads(err)
-        assert record["error"] == "ConvergenceError"
-        assert "not finite" in record["message"]
+        assert record["error"] == "FloatingPointError"
+        assert "cannot be undone in float64" in record["message"]
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("r", [9.0, 12.0])
+    def test_squeeze_residual_refused_at_once(self, r, tmp_path, capsys):
+        # the residual |nu| is 2.0e-9 at r = 9 and 1.5e-8 at r = 10, past
+        # the 1e-9 that lab_density accepts
+        start = time.perf_counter()
+        code = cli.main(["phase-scan", "--r", f"{r:g}", "--out", str(tmp_path / "x")])
+        assert time.perf_counter() - start < 1.0
+        assert code == cli.EXIT_RUNTIME
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "FloatingPointError"
+        assert f"r = {r:g} " in record["message"]
+        nu = float(record["message"].split("|nu| = ")[1].split(",")[0])
+        assert nu > frame.SQUEEZE_RESIDUAL_TOL
         assert not (tmp_path / "x").exists()
 
     def test_unknown_subcommand_rejected(self):

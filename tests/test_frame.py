@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from squeezeamp import (
     Displacement,
@@ -151,19 +152,38 @@ class TestDensityFringe:
 
 
 # --- per-step oracle of the frame engine --------------------------------------
-# One step at a time in the Fock basis: both dephasing half-steps go into the
-# eigenbasis of A†A and back, and heating is classic RK4 on the explicit
-# dissipator.  The engine batches and reorders the same arithmetic.
+# One step at a time in the Fock basis: every substep goes into the eigenbasis
+# of its own Hermitian jump operator and back.  Dephasing uses A†A; heating
+# uses the two quadratures z = cos(phi) x + sin(phi) p of the eigenvectors of
+# SᵀS, each built densely and diagonalised on its own.  The engine batches
+# and reorders the same arithmetic, with one cached basis for every z.
 
-def _dephase_exact(rho, q_vecs, q_vals, gamma, dt):
-    """Exact dephasing half-step in the eigenbasis of the conjugated n operator."""
+def _dephase_exact(rho, q_vecs, q_vals, rate, dt):
+    """exp(dt rate D[Q]) rho in the eigenbasis (q_vals, q_vecs) of a Hermitian Q."""
     rot = q_vecs.conj().T @ rho @ q_vecs
-    decay = np.exp(-0.5 * gamma * dt * (q_vals[:, None] - q_vals[None, :]) ** 2)
+    decay = np.exp(-0.5 * rate * dt * (q_vals[:, None] - q_vals[None, :]) ** 2)
     return q_vecs @ (rot * decay) @ q_vecs.conj().T
 
 
-def _heating_dissipator(rho, A, Ad, half):
-    return A @ rho @ Ad + Ad @ rho @ A - half @ rho - rho @ half
+def _x_and_p(dim):
+    a = ladder_lowering(FockSpace(dim))
+    return (a + a.conj().T) / math.sqrt(2), (a - a.conj().T) / (1j * math.sqrt(2))
+
+
+def _quadrature_gram(fmap):
+    """SᵀS, with S read off x' = Re(mu + nu) x - Im(mu - nu) p and
+    p' = Im(mu + nu) x + Re(mu - nu) p."""
+    mu, nu = complex(fmap.mu), complex(fmap.nu)
+    S = np.array([[(mu + nu).real, -(mu - nu).imag], [(mu + nu).imag, (mu - nu).real]])
+    return S.T @ S
+
+
+def _heating_quadratures(fmap, dim):
+    """[(lam, z)]: the eigenvalues of SᵀS, largest first, and the dense
+    quadratures along their eigenvectors."""
+    lams, axes = np.linalg.eigh(_quadrature_gram(fmap))
+    x, p = _x_and_p(dim)
+    return [(lams[i], axes[0, i] * x + axes[1, i] * p) for i in (1, 0)]
 
 
 def _oracle_step_run(rho, base_map, segment, noise, n_steps):
@@ -172,18 +192,14 @@ def _oracle_step_run(rho, base_map, segment, noise, n_steps):
     for k in range(n_steps):
         fmap = base_map.compose_local(gaussian.segment_map(segment, (k + 0.5) * dt))
         A = fmap.lowering_matrix(FockSpace(rho.shape[0]))
-        Ad = A.conj().T
         if gamma:
-            Q = Ad @ A
-            q_vals, q_vecs = np.linalg.eigh(Q)
+            q_vals, q_vecs = np.linalg.eigh(A.conj().T @ A)
             rho = _dephase_exact(rho, q_vecs, q_vals, gamma, 0.5 * dt)
         if heating:
-            half = 0.5 * heating * (Ad @ A + A @ Ad)
-            k1 = heating * _heating_dissipator(rho, A, Ad, half / heating)
-            k2 = heating * _heating_dissipator(rho + 0.5 * dt * k1, A, Ad, half / heating)
-            k3 = heating * _heating_dissipator(rho + 0.5 * dt * k2, A, Ad, half / heating)
-            k4 = heating * _heating_dissipator(rho + dt * k3, A, Ad, half / heating)
-            rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            (lam1, z1), (lam2, z2) = _heating_quadratures(fmap, rho.shape[0])
+            for lam, z, h in ((lam1, z1, 0.5 * dt), (lam2, z2, dt), (lam1, z1, 0.5 * dt)):
+                z_vals, z_vecs = np.linalg.eigh(z)
+                rho = _dephase_exact(rho, z_vecs, z_vals, lam * heating, h)
         if gamma:
             rho = _dephase_exact(rho, q_vecs, q_vals, gamma, 0.5 * dt)
     return rho
@@ -226,6 +242,89 @@ class TestStepRunMatchesOracle:
         assert np.max(np.abs(got - want)) <= 1e-12
         # the comparison is not vacuous: the noise moved the state
         assert np.max(np.abs(want - rho)) > 1e-4
+
+
+# --- heating as diffusion along two quadratures ------------------------------
+
+def _dissipator_superop(L):
+    """Matrix of rho -> L rho L† - (L†L rho + rho L†L)/2 on column-stacked rho."""
+    eye = np.eye(L.shape[0])
+    LdL = L.conj().T @ L
+    return np.kron(L.conj(), L) - 0.5 * np.kron(eye, LdL) - 0.5 * np.kron(LdL.T, eye)
+
+
+def _heating_superop(fmap, dim, rate):
+    A = fmap.lowering_matrix(FockSpace(dim))
+    return rate * (_dissipator_superop(A) + _dissipator_superop(A.conj().T))
+
+
+def _quadrature(phi, dim):
+    x, p = _x_and_p(dim)
+    return math.cos(phi) * x + math.sin(phi) * p
+
+
+def _batch_item(fmap, i):
+    return FrameMap(*(np.asarray(v)[i] for v in (fmap.mu, fmap.nu, fmap.c)))
+
+
+# a squeeze with an offset, that map after a batch of squeezes, and the identity
+BATCHED = SQUEEZED_BASE.compose_local(
+    gaussian.segment_map(Segment("parametric", 0.6 / G, 1.1, G), np.array([0.1, 0.3, 0.6]) / G))
+HEATING_MAPS = [SQUEEZED_BASE] + [_batch_item(BATCHED, i) for i in range(3)] + [FrameMap()]
+
+
+class TestHeatingQuadratures:
+    @pytest.mark.parametrize("fmap", HEATING_MAPS)
+    def test_identity_holds_for_the_truncated_matrices(self, fmap):
+        dim, rate = 14, 2e4
+        lam1, lam2, phi = frame._heating_axes(fmap)
+        assert [lam2, lam1] == pytest.approx(np.linalg.eigvalsh(_quadrature_gram(fmap)),
+                                             rel=1e-12)
+        want = _heating_superop(fmap, dim, rate)
+        got = rate * (lam1 * _dissipator_superop(_quadrature(phi, dim))
+                      + lam2 * _dissipator_superop(_quadrature(phi + math.pi / 2, dim)))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        if fmap == FrameMap():
+            assert (lam1, lam2) == (1.0, 1.0)
+        else:
+            assert fmap.c != 0
+
+    def test_batched_map_gives_each_maps_axes(self):
+        axes = np.array(frame._heating_axes(BATCHED))
+        for i in range(3):
+            assert np.array(frame._heating_axes(_batch_item(BATCHED, i))) == \
+                pytest.approx(axes[:, i], rel=1e-15, abs=1e-15)
+
+    def test_cached_basis_diagonalises_every_quadrature(self):
+        xi, U, C = frame._quadrature_basis(14)
+        for phi in (0.0, 0.7, 2.5):
+            basis = np.exp(1j * phi * np.arange(14))[:, None] * U
+            z = basis.conj().T @ _quadrature(phi, 14) @ basis
+            assert np.max(np.abs(z - np.diag(xi))) <= 1e-13
+            turned = basis @ C
+            z = turned.conj().T @ _quadrature(phi + math.pi / 2, 14) @ turned
+            assert np.max(np.abs(z - np.diag(xi))) <= 1e-13
+
+    @pytest.mark.parametrize("fmap, dt", [(SQUEEZED_BASE, 2e-7), (FrameMap(c=0.3 - 0.2j), 2e-6)],
+                             ids=["squeezed", "displaced"])
+    def test_one_step_from_vacuum_matches_the_heating_exponential(self, fmap, dt):
+        # Z1 Z2 Z1 splits only through [x, p] at the truncation edge, where
+        # these steps leave < 1e-18 of the weight
+        dim, rate = 14, 2e4
+        segment = Segment("free", dt, 0.0, 0.0)
+        got = frame._segment_step_run(_ground(dim), fmap, segment, NoiseParams(rate, 0.0), 1)
+        propagator = scipy.linalg.expm(dt * _heating_superop(fmap, dim, rate))
+        want = (propagator @ _ground(dim).ravel(order="F")).reshape(dim, dim, order="F")
+        assert np.max(np.abs(got - want)) <= 1e-13
+        assert np.max(np.abs(want - _ground(dim))) > 1e-2
+
+    def test_one_huge_step_stays_a_density_matrix(self):
+        segment = Segment("parametric", 0.6 / G, 1.1, G)
+        rho = frame._segment_step_run(_mixed_state(14), SQUEEZED_BASE, segment,
+                                      NoiseParams(1e9, 1e9), 1)
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-13)
+        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-15
+        assert np.min(np.linalg.eigvalsh(rho)) >= -1e-14
 
 
 # --- extrapolated doubling ----------------------------------------------------

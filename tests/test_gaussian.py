@@ -15,6 +15,7 @@ from squeezeamp import (
     displaced_squeezed_state,
     displacement_operator,
     fidelity,
+    ladder_lowering,
     squeeze_db,
     squeeze_operator,
     squeezed_vacuum,
@@ -258,6 +259,43 @@ class TestFrameMap:
         one, two = FrameMap.squeeze(1.3, 0.7), FrameMap.squeeze(0.4, 0.7)
         assert one.vacuum_fidelity(two) == pytest.approx(1 / math.cosh(0.9), rel=1e-14)
         assert one.vacuum_fidelity(one) == pytest.approx(1.0, rel=1e-15)
+
+
+# a squeeze, a displaced rotation, their product, and a batch of squeezes
+QUADRATURE_MAPS = [
+    FrameMap.squeeze(1.3, 0.7),
+    FrameMap(cmath.exp(-0.4j), 0.0, 0.2 - 0.5j),
+    FrameMap.squeeze(0.8, 2.1).compose_local(FrameMap(cmath.exp(0.9j), 0.0, 1.1j)),
+    FrameMap.squeeze(np.array([0.0, 0.5, 2.0, 3.78]), 4.0),
+]
+
+
+class TestQuadratureMatrix:
+    @pytest.mark.parametrize("fmap", QUADRATURE_MAPS)
+    def test_determinant_is_one(self, fmap):
+        S = fmap.quadrature_matrix
+        assert S.dtype == float and S.shape == np.shape(fmap.nu) + (2, 2)
+        assert np.max(np.abs(np.linalg.det(S) - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("first, second", itertools.permutations(QUADRATURE_MAPS[:3], 2))
+    def test_composition_is_the_product(self, first, second):
+        got = first.compose_local(second).quadrature_matrix
+        want = second.quadrature_matrix @ first.quadrature_matrix
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("fmap", QUADRATURE_MAPS[:3])
+    def test_matches_quadratures_of_the_lowering_matrix(self, fmap):
+        # x' and p' of A - c, against S applied to the truncated x and p
+        sp = FockSpace(24)
+        a = ladder_lowering(sp)
+        x, p = (a + a.conj().T) / math.sqrt(2), (a - a.conj().T) / (1j * math.sqrt(2))
+        A = fmap.lowering_matrix(sp) - fmap.c * np.eye(sp.dim)
+        xp, pp = (A + A.conj().T) / math.sqrt(2), (A - A.conj().T) / (1j * math.sqrt(2))
+        S = fmap.quadrature_matrix
+        inner = slice(0, sp.dim - 1)  # away from the truncation edge
+        for got, row in ((xp, S[0]), (pp, S[1])):
+            want = row[0] * x + row[1] * p
+            assert np.max(np.abs(got - want)[inner, inner]) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestDecibels:

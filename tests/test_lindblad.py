@@ -423,6 +423,18 @@ class TestRombergTable:
                 extrapolated_doubling(run, 1e-7, 4, 4096, "frame", "parametric")
         assert log == [4, 8, 16]
 
+    def test_nan_run_raises_at_once(self):
+        log = []
+
+        def run(n_steps):
+            log.append(n_steps)
+            out = _synthetic_run(n_steps)
+            return np.full_like(out, np.nan) if n_steps == 8 else out
+
+        with pytest.raises(ConvergenceError, match="frame displace run of 8 steps is not finite"):
+            extrapolated_doubling(run, 1e-7, 4, 4096, "frame", "displace")
+        assert log == [4, 8]
+
 
 class TestExtrapolatedDoubling:
     def test_extrapolation_is_fourth_order(self):

@@ -169,6 +169,22 @@ class TestFAlpha:
         full = float(np.sum(weights * terms / np.sqrt(n + 1)))
         assert f_alpha(a) == pytest.approx(full, rel=1e-13)
 
+    @pytest.mark.parametrize("a, bound", [(0.3, 1e-13), (5.0, 1e-13), (30.0, 1e-13),
+                                          (100.0, 2e-12), (300.0, 1e-11)])
+    def test_matches_a_40_digit_sum(self, a, bound):
+        # the same window, summed with 40-digit Poisson weights and phases
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+        mean = mp.mpf(a) ** 2
+        half = 10 * math.sqrt(a * a + 1)
+        lo, hi = max(0, math.floor(a * a - half)), max(30, math.ceil(a * a + half))
+        want = mp.fsum(
+            mp.exp(-mean + n * mp.log(mean) - mp.loggamma(n + 1))
+            * mp.cos(mp.pi * mp.sqrt(n) / 2) * mp.sin(mp.pi * mp.sqrt(n + 1) / 2) / mp.sqrt(n + 1)
+            for n in range(lo, hi))
+        assert abs(f_alpha(a) - float(want)) <= bound * abs(float(want))
+
     def test_term_budget(self):
         # the window at |a| = 1e5 holds 2e6 terms
         with pytest.raises(ValueError, match="Poisson terms"):
