@@ -162,99 +162,54 @@ def _design_matrix(times, omega, gamma, nmax):
     return 0.5 * _bsb_phasors(times, omega, gamma, nmax)[0].real
 
 
-def _kkt_polish(A, b, x, max_iters=200):
-    """Active-set polish of min ||Ax-b||^2 s.t. x >= 0, sum(x) <= 1.
+def _weighted_design(trace, omega, gamma, nmax):
+    """Shot-noise weighted design A and data b: A @ populations ~ b."""
+    sigma = _binomial_sigma(trace.pdown, trace.shots_per_point)
+    A = _design_matrix(trace.times, omega, gamma, nmax) / sigma[:, None]
+    return A, (trace.pdown - 0.5) / sigma
 
-    Returns (x, kkt_residual).  Stationarity: grad_i = -lam (free), >= -lam
-    (at zero), with lam >= 0 the multiplier of the sum constraint (0 when
-    inactive); grad = 2 A^T (Ax - b).  Moves along the line from the current
-    feasible point to the subproblem optimum, stopping at the first bound
-    (ratio test), which keeps the objective monotone and prevents cycling.
+
+def _kkt_residual(A, b, x):
+    """KKT residual of x for min ||Ax-b||^2 s.t. x >= 0, sum(x) <= 1.
+
+    With grad = 2 A^T (Ax - b), stationarity is grad_i = -lam on the free
+    set and grad_i >= -lam at zero, with lam >= 0 the multiplier of the sum
+    constraint: the mean of -grad over the free set when the sum is active,
+    else 0.  Weighted designs can be huge, so the residual is relative to
+    max(2, max|2 A^T b|).
     """
-    n = x.size
-    ata = 2 * (A.T @ A)
-    atb = 2 * (A.T @ b)
-    # weighted design matrices can be huge; measure optimality relative to scale
-    scale = max(2.0, float(np.max(np.abs(atb))))
-    x = np.clip(np.asarray(x, dtype=float), 0.0, None)
-    if x.sum() > 1.0:
-        x = x / x.sum()
+    grad = 2 * (A.T @ (A @ x - b))
+    scale = max(2.0, float(np.max(np.abs(2 * (A.T @ b)))))
     free = x > 1e-12
-    sum_active = x.sum() >= 1.0 - 1e-10
-    for _ in range(max_iters):
-        idx = np.flatnonzero(free)
-        lam = 0.0
-        if idx.size == 0:
-            xf = np.zeros(0)
-        elif sum_active:
-            # KKT system with equality sum(x_free) = 1
-            k = idx.size
-            mat = np.zeros((k + 1, k + 1))
-            mat[:k, :k] = ata[np.ix_(idx, idx)]
-            mat[:k, k] = 1.0
-            mat[k, :k] = 1.0
-            rhs = np.concatenate([atb[idx], [1.0]])
-            sol = np.linalg.solve(mat, rhs)
-            xf, lam = sol[:k], sol[k]
-        else:
-            xf = np.linalg.solve(ata[np.ix_(idx, idx)], atb[idx])
-        if sum_active and lam < -1e-10 * scale:
-            # negative multiplier: the sum constraint should not be active
-            sum_active = False
-            continue
-        target = np.zeros(n)
-        target[idx] = xf
-        if np.any(xf < -1e-12) or (not sum_active and target.sum() > 1.0 + 1e-10):
-            # partial step: stop at the first variable or budget bound hit
-            d = target - x
-            t = 1.0
-            blocking = (d < 0) & (x > 0)
-            if np.any(blocking):
-                t = min(t, float(np.min(x[blocking] / -d[blocking])))
-            if not sum_active and d.sum() > 0:
-                t_sum = (1.0 - x.sum()) / d.sum()
-                if t_sum < t:
-                    t = t_sum
-                    sum_active = True
-            x = np.clip(x + t * d, 0.0, None)
-            free = x > 1e-12
-            continue
-        x = target
-        grad = ata @ x - atb
-        # stationarity is grad = -lam on the free set, grad >= -lam at zero
-        viol = (grad + lam) / scale
-        zero = ~free
-        worst = float(np.min(viol[zero])) if np.any(zero) else 0.0
-        free_stat = float(np.max(np.abs(viol[free]))) if np.any(free) else 0.0
-        kkt = max(free_stat, -min(worst, 0.0))
-        if worst < -1e-10:
-            # bring the most violating variable into the free set
-            enter = int(np.argmin(np.where(zero, viol, np.inf)))
-            free[enter] = True
-            continue
-        return x, kkt
-    raise ConvergenceError("population active-set polish did not converge")
+    lam = max(0.0, -float(np.mean(grad[free]))) if x.sum() >= 1.0 - 1e-10 else 0.0
+    viol = (grad + lam) / scale
+    return float(max(np.max(np.abs(viol[free]), initial=0.0), -np.min(viol[~free], initial=0.0)))
 
 
 def extract_populations(trace, omega, gamma, nmax):
     """Nonnegative Fock populations from a sideband Rabi trace.
 
-    Solves the linear model P_down(t) - 1/2 = sum_n p_n M_n(t) subject to
-    p >= 0 and sum p <= 1, then polishes the active set until the KKT
-    residual is below 1e-8.
+    Solves the linear model P_down(t) - 1/2 = sum_n p_n M_n(t), weighted by
+    shot noise, as min ||Ap - b|| subject to p >= 0 and sum p <= 1, exactly
+    with at most two NNLS calls.  First p = NNLS(A, b); if its sum is at
+    most 1 it is optimal.  Otherwise, by convexity, the optimum lies on the
+    face sum p = 1, where Ap - b = Bp with B = A - b 1^T.  For y = t p with
+    p on that face and t >= 0, ||[B; 1^T] y - e||^2 = t^2 ||Bp||^2 + (t-1)^2
+    (e = (0, ..., 0, 1)), whose minimum over t, ||Bp||^2 / (1 + ||Bp||^2),
+    grows with ||Bp||; so y = NNLS([B; 1^T], e) gives the optimum p = y /
+    sum(y).  Raises ConvergenceError if the KKT residual of the result
+    exceeds 1e-8.
     """
     nyquist_check(trace.times, omega, nmax)
-    M = _design_matrix(trace.times, omega, gamma, nmax)
-    sigma = _binomial_sigma(trace.pdown, trace.shots_per_point)
-    A = M / sigma[:, None]
-    b = (trace.pdown - 0.5) / sigma
+    A, b = _weighted_design(trace, omega, gamma, nmax)
     if np.linalg.matrix_rank(A) < min(A.shape) // 2:
         raise ValueError("design matrix is badly rank-deficient; add time points")
-    x0, _ = scipy.optimize.nnls(A, b)
-    if x0.sum() > 1.0:
-        aug = np.vstack([A, 1e6 * np.ones((1, nmax))])
-        x0, _ = scipy.optimize.nnls(aug, np.concatenate([b, [1e6]]))
-    x, kkt = _kkt_polish(A, b, x0)
+    x, _ = scipy.optimize.nnls(A, b)
+    if x.sum() > 1.0:
+        face = np.vstack([A - b[:, None], np.ones((1, nmax))])
+        y, _ = scipy.optimize.nnls(face, np.append(np.zeros(b.size), 1.0))
+        x = y / y.sum()
+    kkt = _kkt_residual(A, b, x)
     if kkt > 1e-8:
         raise ConvergenceError(f"population fit KKT residual {kkt:.2e} > 1e-8")
     resid = A @ x - b

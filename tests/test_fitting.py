@@ -38,6 +38,35 @@ def synthetic_trace(pops, gamma=60.0, shots=300, times=TIMES, rng=None):
     return RabiTrace(times, sig, shots)
 
 
+def kkt_residual(trace, nmax, x, gamma=60.0):
+    A, b = fitting._weighted_design(trace, OM, gamma, nmax)
+    return fitting._kkt_residual(A, b, x)
+
+
+def lsi_ldp_populations(A, b):
+    """min ||Ax - b|| s.t. x >= 0, sum(x) <= 1 by the LSI -> LDP -> NNLS
+    reduction (Lawson & Hanson, Solving Least Squares Problems, ch. 23).
+
+    A test-only oracle: it needs S^-1 of A = U S V^T.  On the nmax 40 test
+    trace (cond 7.8e7) it returns a population of -2.3e-4, and on the
+    nmax 60 one (cond 1.2e15) populations of +-1.4e10, so it is kept out of
+    the package and used here only on well-conditioned designs.
+    """
+    n = A.shape[1]
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    G = np.vstack([np.eye(n), -np.ones((1, n))])  # G x >= h
+    h = np.append(np.zeros(n), -1.0)
+    E = G @ (Vt.T / s)
+    f = h - E @ (U.T @ b)
+    # least distance: min ||z|| s.t. E z >= f, with x = V S^-1 (z + U^T b)
+    M = np.vstack([E.T, f])
+    e = np.append(np.zeros(n), 1.0)
+    u, _ = scipy.optimize.nnls(M, e)
+    r = M @ u - e
+    z = -r[:n] / r[n]
+    return Vt.T @ ((z + U.T @ b) / s)
+
+
 class TestRabiTrace:
     def test_csv_round_trip(self):
         tr = synthetic_trace([1.0])
@@ -84,28 +113,36 @@ class TestNyquist:
 
 class TestExtractPopulations:
     def test_ground_state_recovery(self):
-        res = extract_populations(synthetic_trace([1.0]), OM, 60.0, 8)
+        tr = synthetic_trace([1.0])
+        res = extract_populations(tr, OM, 60.0, 8)
         assert res.param("p0") == pytest.approx(1.0, abs=1e-6)
         assert res.params[1:].max() < 1e-6
+        assert kkt_residual(tr, 8, res.params) <= 1e-12
 
     def test_exact_recovery_of_mixture(self):
         mix = np.zeros(12)
         mix[[0, 2, 5]] = [0.3, 0.5, 0.15]
-        res = extract_populations(synthetic_trace(mix), OM, 60.0, 12)
+        tr = synthetic_trace(mix)
+        res = extract_populations(tr, OM, 60.0, 12)
         assert np.max(np.abs(res.params - mix)) < 1e-10
         assert res.residual_norm < 1e-10
+        assert kkt_residual(tr, 12, res.params) <= 1e-12
 
     def test_coherent_populations_match(self):
         pops = displaced_squeezed_populations(Displacement(0.5), SqueezeParam(0.0), 10)
-        res = extract_populations(synthetic_trace(pops), OM, 60.0, 10)
+        tr = synthetic_trace(pops)
+        res = extract_populations(tr, OM, 60.0, 10)
         assert np.max(np.abs(res.params - pops)) < 1e-4
+        assert kkt_residual(tr, 10, res.params) <= 1e-12
 
     def test_nonnegativity_and_budget_with_noise(self):
         pops = displaced_squeezed_populations(Displacement(0.0), SqueezeParam(1.2), 40)
         rng = np.random.default_rng(7)
-        res = extract_populations(synthetic_trace(pops, rng=rng), OM, 60.0, 40)
+        tr = synthetic_trace(pops, rng=rng)
+        res = extract_populations(tr, OM, 60.0, 40)
         assert np.all(res.params >= 0)
         assert res.params.sum() <= 1.0 + 1e-9
+        assert kkt_residual(tr, 40, res.params) <= 1e-12
 
     def test_converges_when_budget_constraint_binds(self):
         # noisy short-trace case where the sum(p) = 1 face stays active at
@@ -113,18 +150,58 @@ class TestExtractPopulations:
         pops = displaced_squeezed_populations(Displacement(0.83), SqueezeParam(0.0), 24)
         for seed in range(7, 15):
             rng = np.random.default_rng(seed)
-            res = extract_populations(synthetic_trace(pops, rng=rng), OM, 60.0, 12)
+            tr = synthetic_trace(pops, rng=rng)
+            res = extract_populations(tr, OM, 60.0, 12)
             assert np.all(res.params >= 0)
             assert res.params.sum() <= 1.0 + 1e-9
             assert abs(res.param("p0") - pops[0]) < 0.05
+            assert kkt_residual(tr, 12, res.params) <= 1e-12
 
     def test_squeezed_monte_carlo_within_3_sigma(self):
         pops = displaced_squeezed_populations(Displacement(0.0), SqueezeParam(2.23), 300)
         rng = np.random.default_rng(12)
-        res = extract_populations(synthetic_trace(pops, rng=rng), OM, 60.0, 60)
+        tr = synthetic_trace(pops, rng=rng)
+        res = extract_populations(tr, OM, 60.0, 60)
         err = np.sqrt(np.clip(np.diag(res.covariance), 1e-12, None))
         pulls = (res.params[:12] - pops[:12]) / np.maximum(err[:12], 1e-3)
         assert np.max(np.abs(pulls)) < 3.5
+        assert kkt_residual(tr, 60, res.params) <= 1e-12
+
+    def test_matches_the_lsi_ldp_oracle(self):
+        mix = np.zeros(12)
+        mix[[0, 2, 5]] = [0.3, 0.5, 0.15]
+        traces = [synthetic_trace(mix)]
+        pops = displaced_squeezed_populations(Displacement(0.83), SqueezeParam(0.0), 24)
+        traces += [synthetic_trace(pops, rng=np.random.default_rng(seed)) for seed in range(7, 15)]
+        binding = 0
+        for tr in traces:
+            A, b = fitting._weighted_design(tr, OM, 60.0, 12)
+            assert np.linalg.cond(A) < 10
+            x = extract_populations(tr, OM, 60.0, 12).params
+            assert np.max(np.abs(x - lsi_ldp_populations(A, b))) <= 1e-12
+            binding += x.sum() >= 1.0 - 1e-10
+        assert binding >= 6  # the budget-active face is exercised
+
+    def test_kkt_residual_flags_perturbed_points(self):
+        pops = displaced_squeezed_populations(Displacement(0.83), SqueezeParam(0.0), 24)
+        tr = synthetic_trace(pops, rng=np.random.default_rng(7))
+        x = extract_populations(tr, OM, 60.0, 12).params
+        assert x.sum() == pytest.approx(1.0, abs=1e-12)
+        assert kkt_residual(tr, 12, x) <= 1e-12
+        free = np.flatnonzero(x > 1e-3)
+        moved = x.copy()
+        moved[free[0]] += 1e-3
+        moved[free[1]] -= 1e-3
+        assert kkt_residual(tr, 12, moved) > 1e-8
+        assert kkt_residual(tr, 12, 0.99 * x) > 1e-8
+
+    def test_non_optimal_solver_point_raises(self, monkeypatch):
+        def uniform(A, b, **_):
+            return np.full(A.shape[1], 0.5 / A.shape[1]), 0.0
+
+        monkeypatch.setattr(fitting.scipy.optimize, "nnls", uniform)
+        with pytest.raises(ConvergenceError, match="KKT residual"):
+            extract_populations(synthetic_trace([1.0]), OM, 60.0, 8)
 
 
 class TestStateModelFits:

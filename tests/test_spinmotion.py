@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
 
 from squeezeamp import Displacement, FockSpace, SqueezeParam, coherent_state, squeezed_vacuum
 from squeezeamp.errors import DimensionMismatchError
@@ -13,6 +12,8 @@ from squeezeamp.spinmotion import (
     RSB,
     JointState,
     SidebandPulse,
+    _poisson_pmf,
+    _rsb_pi_weights,
     apply_pulse,
     bsb_signal,
     f_alpha,
@@ -161,13 +162,14 @@ class TestFAlpha:
         vals = [f_alpha(a) for a in (0.0, 0.5, 1.0, 2.0)]
         assert all(x > y for x, y in zip(vals, vals[1:]))
 
-    def test_poisson_window_matches_the_full_sum(self):
-        a = 300.0
-        n = np.arange(int(a * a + 10 * math.sqrt(a * a + 1)) + 1)
-        weights = np.exp(-a * a + 2 * n * math.log(a) - gammaln(n + 1))
-        terms = np.cos(0.5 * math.pi * np.sqrt(n)) * np.sin(0.5 * math.pi * np.sqrt(n + 1))
-        full = float(np.sum(weights * terms / np.sqrt(n + 1)))
-        assert f_alpha(a) == pytest.approx(full, rel=1e-13)
+    @pytest.mark.parametrize("a", [5.0, 30.0, 100.0, 300.0])
+    def test_poisson_window_matches_the_full_sum(self, a):
+        # the reference sums twice the window's half-width from n = 0, with
+        # the same weights, which test_matches_a_40_digit_sum covers
+        mean = a * a
+        n = np.arange(int(mean + 20 * math.sqrt(mean + 1)) + 31)
+        full = float(np.sum(_poisson_pmf(n, mean) * _rsb_pi_weights(n)[1] / np.sqrt(n + 1)))
+        assert f_alpha(a) == pytest.approx(full, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("a, bound", [(0.3, 1e-13), (5.0, 1e-13), (30.0, 1e-13),
                                           (100.0, 2e-12), (300.0, 1e-11)])
