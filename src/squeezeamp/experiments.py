@@ -280,8 +280,8 @@ def _synthetic_trace(cfg, populations, experiment, block_index):
     times = np.arange(1, cfg["trace_points"] + 1) * cfg["trace_dt_us"] * 1e-6
     ideal = spinmotion.bsb_signal(populations, cfg.omega_sb, cfg["bsb_decay_per_s"], times)
     shots = cfg["shots"]
-    if shots == 0:
-        return RabiTrace(times, ideal, 300)
+    if shots == 0:  # exact probabilities, clipped to [0, 1] as `sample_probability` does
+        return RabiTrace(times, np.clip(ideal, 0.0, 1.0), 300)
     sampled = np.empty_like(ideal)
     for i, p in enumerate(ideal):
         sampled[i], _ = sample_probability(
@@ -292,7 +292,7 @@ def _synthetic_trace(cfg, populations, experiment, block_index):
 
 #: |alpha| past which the coherent populations of
 #: `gaussian.displaced_squeezed_populations` underflow to 0: all of them start
-#: from g_0 = exp(-|alpha|^2/2).
+#: from psi_0 = exp(-|alpha|^2/2) of `FrameMap.amplitudes`.
 _MAX_FIT_ALPHA = math.sqrt(-2 * math.log(math.ulp(0.0)))
 
 

@@ -18,7 +18,7 @@ import math
 import numpy as np
 import scipy.optimize
 
-from . import gaussian
+from . import gaussian, spinmotion
 from .errors import ConvergenceError, DimensionMismatchError, SqueezeAmpError
 
 _log = logging.getLogger(__name__)
@@ -48,8 +48,15 @@ class RabiTrace:
         pdown = np.asarray(self.pdown, dtype=float)
         if times.shape != pdown.shape or times.ndim != 1:
             raise DimensionMismatchError("times and pdown must be equal-length vectors")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly increasing")
+        if times.size == 0:
+            raise ValueError("trace has no rows")
+        bad = np.flatnonzero(~((pdown >= 0.0) & (pdown <= 1.0)))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"trace row {i + 1} (t = {times[i] * 1e6:g} us): p_down = "
+                             f"{float(pdown[i])!r} is not a probability in [0, 1]")
+        if not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0):
+            raise ValueError("times must be finite and strictly increasing")
         if self.shots_per_point < 1:
             raise ValueError("shots_per_point must be >= 1")
         object.__setattr__(self, "times", times)
@@ -74,8 +81,8 @@ class RabiTrace:
             times.append(float(t_us) * 1e-6)
             pdown.append(float(p))
             shots.append(int(s))
-        if len(set(shots)) > 1:
-            raise ValueError("trace CSV must use a single shots value")
+        if len(set(shots)) != 1:
+            raise ValueError("trace CSV must hold at least one row, all with one shots value")
         return cls(np.array(times), np.array(pdown), shots[0])
 
 
@@ -151,21 +158,11 @@ def _binomial_sigma(p, shots):
     return np.sqrt(p * (1.0 - p) / shots)
 
 
-def _bsb_phasors(times, omega, gamma, nmax):
-    """E[t, n] = exp((-gamma + i omega) sqrt(n+1) t), and sqrt(n+1) t."""
-    root_t = np.sqrt(np.arange(nmax) + 1.0) * np.asarray(times)[:, None]
-    return np.exp(complex(-gamma, omega) * root_t), root_t
-
-
-def _design_matrix(times, omega, gamma, nmax):
-    """BSB design matrix Re(E)/2: P_down(t) - 1/2 = M @ populations."""
-    return 0.5 * _bsb_phasors(times, omega, gamma, nmax)[0].real
-
-
 def _weighted_design(trace, omega, gamma, nmax):
-    """Shot-noise weighted design A and data b: A @ populations ~ b."""
+    """Shot-noise weighted design A and data b: A @ populations ~ b, with
+    A = Re(E)/2 / sigma, so that P_down(t) - 1/2 = Re(E) populations / 2."""
     sigma = _binomial_sigma(trace.pdown, trace.shots_per_point)
-    A = _design_matrix(trace.times, omega, gamma, nmax) / sigma[:, None]
+    A = 0.5 * spinmotion.bsb_phasors(trace.times, omega, gamma, nmax)[0].real / sigma[:, None]
     return A, (trace.pdown - 0.5) / sigma
 
 
@@ -273,9 +270,10 @@ class TraceResiduals:
 
     The model signal is 1/2 + M(omega, gamma) P(state), with M the design
     matrix of `extract_populations` and P from `model_populations`.  With
-    E = exp((-gamma + i omega) sqrt(n+1) t), M = Re(E)/2 and the Jacobian is
-    analytic: d/domega = -(sqrt(n+1) t Im E) P/2, d/dgamma = -sign(gamma)
-    (sqrt(n+1) t Re E) P/2 and d/dstate = M dP/dstate.  One model evaluation
+    E = exp((-gamma + i omega) sqrt(n+1) t) from `spinmotion.bsb_phasors`,
+    M = Re(E)/2 and the Jacobian is analytic: d/domega = -(sqrt(n+1) t Im E)
+    P/2, d/dgamma = -sign(gamma) (sqrt(n+1) t Re E) P/2 and d/dstate =
+    M dP/dstate.  One model evaluation
     at x serves both the residual and the Jacobian there.  At the zero of a
     sign-symmetric parameter the Jacobian takes the derivative from above,
     so a fit started there can still move it.
@@ -310,7 +308,7 @@ class TraceResiduals:
             pops, dpops = model_populations(
                 self.model, [vals[n] for n in self.state_names], self.nmax
             )
-            E, root_t = _bsb_phasors(self.times, omega, abs(gamma), self.nmax)
+            E, root_t = spinmotion.bsb_phasors(self.times, omega, abs(gamma), self.nmax)
             self._key, self._cached = key, (pops, dpops, E, root_t, gamma)
         return self._cached
 

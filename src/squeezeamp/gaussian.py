@@ -44,8 +44,8 @@ class SqueezeParam:
     theta: float = 0.0
 
     def __post_init__(self):
-        if self.r < 0:
-            raise ValueError("squeeze magnitude r must be >= 0")
+        if not (np.isfinite(self.r) and self.r >= 0):
+            raise ValueError("squeeze magnitude r must be finite and >= 0")
         if not np.isfinite(self.theta):
             raise ValueError("squeeze phase must be finite")
         object.__setattr__(self, "theta", float(self.theta) % (2 * math.pi))
@@ -74,7 +74,9 @@ class FrameMap:
     @classmethod
     def squeeze(cls, r, theta):
         """Map of S(r e^{iθ}): mu = cosh r, nu = -e^{iθ} sinh r; r may be an array."""
-        math.cosh(np.max(np.abs(r)))  # OverflowError where np.cosh would give inf
+        # math.cosh raises OverflowError past r ~ 710, where np.cosh gives inf
+        if not math.isfinite(math.cosh(np.max(np.abs(r)))):
+            raise ValueError(f"squeeze magnitude must be finite, got {r!r}")
         return cls(np.cosh(r), -cmath.exp(1j * theta) * np.sinh(r))
 
     def compose_local(self, local):
@@ -116,13 +118,23 @@ class FrameMap:
         V† U is a squeeze with mu = mu_V* mu_U - nu_V nu_U*, and |<0|S|0>|² = 1/|mu|."""
         return 1.0 / abs(other.mu.conjugate() * self.mu - other.nu * self.nu.conjugate())
 
-    def amplitudes(self, dim):
+    def amplitudes(self, dim, tangents=()):
         """Fock amplitudes psi_0 .. psi_(dim-1) of the pure Gaussian state U|0>.
 
         U|0> is annihilated by U a U† = mu* a - nu a† - gamma, gamma = mu* c - nu c*,
-        so psi_(n+1) = (gamma psi_n + nu √n psi_(n-1)) / (mu* √(n+1)) from
-        psi_0 = exp(-|c|²/2 + nu c*²/(2 mu*)) / √mu*.  Both ratios to mu* are
-        bounded, so no intermediate overflows.
+        so psi_(n+1) = (g psi_n + q √n psi_(n-1)) / √(n+1), with g = gamma/mu* and
+        q = nu/mu*, from psi_0 = exp(-|c|²/2 + q c*²/2) / √mu*.  Both ratios to
+        mu* are bounded, so no intermediate overflows.
+
+        Each of `tangents` is a FrameMap of (∂mu, ∂nu, ∂c) along one real
+        parameter; with them, also returns the (dim, len(tangents)) derivatives
+        of the amplitudes.  psi_n / psi_0 is a polynomial in (g, q) with
+        generating function exp(g t + q t²/2) (in t^n/√n!), so ∂psi_n/∂g =
+        √n psi_(n-1) and ∂psi_n/∂q = √(n(n-1)) psi_(n-2) / 2, and
+
+            ∂psi_n = ∂ln psi_0 psi_n + dg √n psi_(n-1) + dq √(n(n-1)) psi_(n-2) / 2,
+
+        with dq = (∂nu - q ∂mu*)/mu* and dg = ∂c - dq c* - q ∂c*.
         """
         mu_c, nu, c = complex(self.mu).conjugate(), complex(self.nu), complex(self.c)
         g, q = (mu_c * c - nu * c.conjugate()) / mu_c, nu / mu_c  # gamma/mu*, nu/mu*
@@ -131,7 +143,22 @@ class FrameMap:
         for n in range(dim - 1):
             amps.append((g * amps[n] + q * math.sqrt(n) * prev) / math.sqrt(n + 1))
             prev = amps[n]
-        return np.array(amps, dtype=complex)
+        amps = np.array(amps[:dim], dtype=complex)
+        if not tangents:
+            return amps
+        n = np.arange(dim)
+        lowered = np.concatenate((np.zeros(2, dtype=complex), amps))
+        basis = np.stack((amps, np.sqrt(n) * lowered[1:-1],
+                          0.5 * np.sqrt(n * (n - 1.0)) * lowered[:-2]), axis=1)
+        cc = c.conjugate()
+        coeffs = []
+        for t in tangents:
+            dmu_c, dnu, dc = complex(t.mu).conjugate(), complex(t.nu), complex(t.c)
+            dq = (dnu - q * dmu_c) / mu_c
+            dlog = (-(cc * dc).real + 0.5 * dq * cc**2 + q * cc * dc.conjugate()
+                    - 0.5 * dmu_c / mu_c)
+            coeffs.append((dlog, dc - dq * cc - q * dc.conjugate(), dq))
+        return amps, basis @ np.array(coeffs).T
 
 
 def segment_map(segment, tau):
@@ -183,64 +210,24 @@ def squeezed_vacuum(xi, space, check_tail=True):
 def displaced_squeezed_populations(d, xi, nmax, jac=False):
     """Fock populations of D(α) S(ξ)|0> for n = 0..nmax-1.
 
-    Uses the Hermite-polynomial closed form with a scaled three-term
-    recurrence for the amplitudes g_n (P_n = |g_n|²):
-
-        g_{n+1} = 2ζ/√(n+1) g_n - q √(n/(n+1)) g_{n-1},
-        ζ = ½(α + α* q),  q = e^{iθ} tanh r,
-        g_0 = exp(-½|α|² - ½ Re(α*² q)) / √(cosh r).
-
-    The running quantity already carries the (½ tanh r)ⁿ/n! weight and the
-    Gaussian prefactor, so every intermediate is bounded by a population and
-    cannot overflow.  g_n is the Hermite-form amplitude times the phase
-    e^{inθ/2}, which leaves P_n unchanged and makes θ enter only through q:
-    at r = 0 the recurrence is the coherent-state one, g_{n+1} = α g_n/√(n+1),
-    and the populations and their θ-derivative do not depend on θ at all.
-    g_0 underflows, and every population with it, once |α|² exceeds ~1400.
+    They are |psi_n|² of `FrameMap.amplitudes` for the map
+    a -> a cosh r - a† e^{iθ} sinh r + α.  psi_0, and every population with
+    it, underflows once |α|² exceeds ~1400.
 
     With jac=True, also returns ∂P_n/∂(|α|, r, θ) as an (nmax, 3) array, at
-    fixed phase of α, by forward-mode differentiation of the same
-    recurrence.
+    fixed phase of α, from the amplitudes' tangents along those parameters.
     """
     alpha = complex(d.alpha)
-    r, theta = xi.r, xi.theta
-    a = abs(alpha)
-    tanh_r = math.tanh(r)
-    sech2_r = 1.0 - tanh_r * tanh_r
-    eith = cmath.exp(1j * theta)
-    q = eith * tanh_r
-    zeta = 0.5 * (alpha + alpha.conjugate() * q)
-    quad = alpha.conjugate() ** 2 * q  # α*² e^{iθ} tanh r
-    g = cmath.exp(-0.5 * a * a - 0.5 * quad.real) / math.sqrt(math.cosh(r))
-    if jac:
-        u = alpha / a if a else 1 + 0j
-        # ζ, q and g_0 differentiated along (|α|, r, θ)
-        dzeta = (0.5 * (u + u.conjugate() * q), 0.5 * alpha.conjugate() * eith * sech2_r,
-                 0.5j * alpha.conjugate() * q)
-        dq = (0j, eith * sech2_r, 1j * q)
-        dg = (
-            g * (-a - a * (u.conjugate() ** 2 * q).real),
-            g * (-0.5 * (alpha.conjugate() ** 2 * eith).real * sech2_r - 0.5 * tanh_r),
-            g * 0.5 * quad.imag,
-        )
-        dg_prev = (0j, 0j, 0j)
-    amps = np.empty((nmax, 4 if jac else 1), dtype=complex)
-    g_prev = 0j
-    for n in range(nmax):
-        c1, c2 = 2.0 / math.sqrt(n + 1), math.sqrt(n / (n + 1.0))
-        g_next = c1 * zeta * g - c2 * q * g_prev
-        if jac:
-            amps[n] = (g, *dg)
-            dg_next = tuple(c1 * (dz * g + zeta * dgk) - c2 * (dqk * g_prev + q * dpk)
-                            for dz, dqk, dgk, dpk in zip(dzeta, dq, dg, dg_prev))
-            dg_prev, dg = dg, dg_next
-        else:
-            amps[n] = g
-        g_prev, g = g, g_next
-    pops = np.abs(amps[:, 0]) ** 2
+    squeeze = FrameMap.squeeze(xi.r, xi.theta)
+    state = FrameMap(squeeze.mu, squeeze.nu, alpha)
     if not jac:
-        return pops
-    return pops, 2.0 * (amps[:, :1].conj() * amps[:, 1:]).real
+        return np.abs(state.amplitudes(nmax)) ** 2
+    amps, damps = state.amplitudes(nmax, (
+        FrameMap(0.0, 0.0, alpha / abs(alpha) if alpha else 1.0),
+        FrameMap(math.sinh(xi.r), -cmath.exp(1j * xi.theta) * math.cosh(xi.r), 0.0),
+        FrameMap(0.0, 1j * squeeze.nu, 0.0),
+    ))
+    return np.abs(amps) ** 2, 2.0 * (amps.conj()[:, None] * damps).real
 
 
 def displaced_squeezed_state(d, xi, space, check_tail=True):

@@ -145,21 +145,26 @@ def apply_pulse(pulse, state):
     return JointState(state.space, U @ state.amps)
 
 
+def bsb_phasors(times, omega, gamma, nmax):
+    """E[t, n] = exp((-gamma + i omega) sqrt(n+1) t), and sqrt(n+1) t: the
+    blue-sideband Rabi phasors of levels n = 0..nmax-1."""
+    root_t = np.sqrt(np.arange(nmax) + 1.0) * np.asarray(times, dtype=float)[:, None]
+    return np.exp(complex(-gamma, omega) * root_t), root_t
+
+
 def bsb_signal(populations, omega, gamma, times):
     """Decaying blue-sideband Rabi signal for a Fock distribution.
 
-    P_down(t) = 1/2 (1 + sum_n P_n e^{-gamma sqrt(n+1) t} cos(Omega sqrt(n+1) t)).
+    P_down(t) = 1/2 (1 + sum_n P_n e^{-gamma sqrt(n+1) t} cos(Omega sqrt(n+1) t)),
+    that is 1/2 + Re(E) P / 2 with E from `bsb_phasors`.
     """
     populations = np.asarray(populations, dtype=float)
     if np.any(populations < -1e-12):
         raise ValueError("populations must be nonnegative")
     if populations.sum() > 1.0 + 1e-9:
         raise ValueError("populations must sum to at most 1")
-    times = np.asarray(times, dtype=float)
-    root = np.sqrt(np.arange(populations.size) + 1.0)
-    t = times[:, None]
-    osc = populations * np.exp(-gamma * root * t) * np.cos(omega * root * t)
-    return 0.5 * (1.0 + osc.sum(axis=1))
+    E, _ = bsb_phasors(times, omega, gamma, populations.size)
+    return 0.5 + 0.5 * (E.real @ populations)
 
 
 #: Most Poisson terms `f_alpha` sums; its window holds about 20 |a| of them,

@@ -109,6 +109,22 @@ class TestFitCommand:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ValueError"
 
+    @pytest.mark.parametrize("rows, message", [
+        ("", "at least one row"),
+        ("20,nan,300\n", "row 1 "),
+        ("20,0.4,300\n40,1.7,300\n", "row 2 "),
+        ("20,0.4,300\nnan,0.5,300\n", "times must be finite"),
+    ])
+    def test_unusable_trace_is_runtime_error(self, tmp_path, capsys, rows, message):
+        path = tmp_path / "trace.csv"
+        path.write_text("t_us,p_down,shots\n" + rows)
+        code = cli.main(["fit", "--model", "coherent", "--trace", str(path)])
+        assert code == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        record = json.loads(err)
+        assert record["error"] == "ValueError" and message in record["message"]
+
     def test_missing_trace_file(self, tmp_path, capsys):
         code = cli.main(["fit", "--model", "coherent",
                          "--trace", str(tmp_path / "nope.csv")])

@@ -15,7 +15,8 @@ from squeezeamp.experiments import (
     run_unitarity_check,
     sample_probability,
 )
-from squeezeamp.spinmotion import f_alpha
+from squeezeamp.gaussian import Displacement, SqueezeParam, displaced_squeezed_populations
+from squeezeamp.spinmotion import bsb_signal, f_alpha
 
 
 def noiseless(**over):
@@ -109,6 +110,15 @@ class TestGainCurve:
             {"r_ideal": 0.5, "error": "ConvergenceError: no minimum"},
             {"r_ideal": 1.0, "error": "ConvergenceError: no minimum"},
         ]
+
+    def test_exact_trace_rounding_past_one_still_builds(self):
+        # populations that sum to 1 + 1.3e-15, at a 1 ps step without decay,
+        # put the exact signal one ulp above 1, where RabiTrace refuses it
+        cfg = noiseless(bsb_decay_per_s=0.0, trace_dt_us=1e-6, trace_points=1)
+        pops = displaced_squeezed_populations(Displacement(6.0), SqueezeParam(0.0), 104)
+        assert bsb_signal(pops, cfg.omega_sb, 0.0, [1e-12])[0] > 1.0
+        trace = experiments._synthetic_trace(cfg, pops, "gain_curve", 0)
+        assert trace.pdown.max() == 1.0
 
     def test_successful_fits_add_no_failure_key(self):
         res = run_gain_curve(noiseless(squeeze_r_list=(0.5,)))

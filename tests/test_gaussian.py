@@ -162,6 +162,32 @@ class TestDisplacedSqueezedPopulations:
         ref = displaced_squeezed_state(Displacement(alpha), xi, sp).populations()[:128]
         assert np.max(np.abs(pops - ref)) < 1e-8
 
+    @pytest.mark.parametrize("alpha,r,theta", [(0.6 - 0.45j, 0.8, 2.3), (1.1 + 0.4j, 0.0, 1.7)])
+    def test_jacobian_matches_central_differences(self, alpha, r, theta):
+        nmax, h = 40, 1e-6
+        _, jac = displaced_squeezed_populations(Displacement(alpha), SqueezeParam(r, theta),
+                                                nmax, jac=True)
+        u = alpha / abs(alpha)
+
+        def pops(a, rr, t):
+            # r < 0 is the squeeze of magnitude |r| at phase theta + pi
+            xi = SqueezeParam(abs(rr), t + math.pi * (rr < 0))
+            return displaced_squeezed_populations(Displacement(a * u), xi, nmax)
+
+        a = abs(alpha)
+        fd = np.stack([(pops(a + h, r, theta) - pops(a - h, r, theta)) / (2 * h),
+                       (pops(a, r + h, theta) - pops(a, r - h, theta)) / (2 * h),
+                       (pops(a, r, theta + h) - pops(a, r, theta - h)) / (2 * h)], axis=1)
+        assert np.max(np.abs(jac - fd)) < 1e-8
+        if r == 0:
+            assert np.all(jac[:, 2] == 0.0)
+
+    def test_zero_levels_is_empty(self):
+        d, xi = Displacement(0.3 + 0.1j), SqueezeParam(0.5, 1.0)
+        assert displaced_squeezed_populations(d, xi, 0).shape == (0,)
+        pops, jac = displaced_squeezed_populations(d, xi, 0, jac=True)
+        assert pops.shape == (0,) and jac.shape == (0, 3)
+
     def test_no_overflow_for_high_n(self):
         pops = displaced_squeezed_populations(Displacement(2.0), SqueezeParam(2.54), 600)
         assert np.all(np.isfinite(pops))
@@ -253,6 +279,32 @@ class TestFrameMap:
             FrameMap.squeeze(1000.0, 0.0)
         with pytest.raises(OverflowError):
             amplify_displacement(0.2, SqueezeParam(1000.0))
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_non_finite_squeeze_is_refused(self, r):
+        with pytest.raises(ValueError, match="finite"):
+            SqueezeParam(r)
+        with pytest.raises(ValueError, match="finite"):
+            FrameMap.squeeze(r, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            FrameMap.squeeze(np.array([0.5, r]), 0.0)
+
+    def test_amplitude_tangents_of_a_general_map(self):
+        # a path t -> M(t) through maps with complex mu, nu and c; the tangent
+        # (dM/dt) is taken by central differences, exact to O(h^2)
+        def path(t):
+            return FrameMap.squeeze(0.7 + 0.2 * t, 1.1).compose_local(
+                FrameMap(cmath.exp(1j * t), 0.0, 0.3 + 0.2j * t))
+
+        t, h, dim = 0.4, 1e-6, 48
+        up, down = path(t + h), path(t - h)
+        tangent = FrameMap(*((x - y) / (2 * h) for x, y in
+                             ((up.mu, down.mu), (up.nu, down.nu), (up.c, down.c))))
+        amps, damps = path(t).amplitudes(dim, (tangent,))
+        fd = (up.amplitudes(dim) - down.amplitudes(dim)) / (2 * h)
+        assert np.array_equal(amps, path(t).amplitudes(dim))
+        assert damps.shape == (dim, 1)
+        assert np.max(np.abs(damps[:, 0] - fd)) < 1e-8
 
     def test_vacuum_fidelity_of_two_squeezes(self):
         # S(r2)† S(r1) = S(r1 - r2) along one axis, whose vacuum overlap is 1/cosh
