@@ -17,7 +17,6 @@ from .fock import (
     number_operator,
     expectation,
     fidelity,
-    matrix_exponential_apply,
     default_truncation,
 )
 from .gaussian import (

@@ -32,6 +32,9 @@ from . import fock, gaussian
 from .errors import ConvergenceError
 from .gaussian import FrameMap
 
+#: Largest fidelity change under step halving that counts as converged.
+_CONVERGENCE_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class DriveParams:
@@ -99,7 +102,7 @@ def _lab_map(p, n_steps, t_final):
     return lab.compose_local(FrameMap(cmath.exp(1j * p.omega_r * t_final)))
 
 
-def simulate_full_vs_rwa(p, steps_per_period=64, convergence_tol=1e-6):
+def simulate_full_vs_rwa(p, steps_per_period=64):
     """Integrate the lab-frame dynamics from |0> and compare to the RWA.
 
     Returns (fidelity to the RWA squeezed vacuum, effective r).  H_lab is
@@ -107,7 +110,7 @@ def simulate_full_vs_rwa(p, steps_per_period=64, convergence_tol=1e-6):
     numbers are closed forms of its Bogoliubov map a -> mu a + nu a†:
     no Fock truncation is involved, and r_effective = asinh |nu| = asinh √n̄.
     The integration is repeated with twice the step count; a disagreement
-    above `convergence_tol` in fidelity raises ConvergenceError.
+    above `_CONVERGENCE_TOL` in fidelity raises ConvergenceError.
     """
     if not p.resonant:
         raise ValueError("full-vs-RWA comparison requires omega_p = 2 omega_r")
@@ -121,10 +124,10 @@ def simulate_full_vs_rwa(p, steps_per_period=64, convergence_tol=1e-6):
     f_coarse = _lab_map(p, n_steps, t_final).vacuum_fidelity(target)
     fine = _lab_map(p, 2 * n_steps, t_final)
     f_fine = fine.vacuum_fidelity(target)
-    if abs(f_fine - f_coarse) > convergence_tol:
+    if abs(f_fine - f_coarse) > _CONVERGENCE_TOL:
         raise ConvergenceError(
             f"lab-frame integration not converged: fidelity step-halving change "
-            f"{abs(f_fine - f_coarse):.3e} > {convergence_tol:.1e} "
+            f"{abs(f_fine - f_coarse):.3e} > {_CONVERGENCE_TOL:.1e} "
             f"(increase steps_per_period={steps_per_period})"
         )
     return f_fine, math.asinh(fine.squeeze_magnitude)

@@ -278,21 +278,18 @@ class TraceResiduals:
     sign-symmetric parameter the Jacobian takes the derivative from above,
     so a fit started there can still move it.
 
-    `names` orders the fitted parameters: the state's, then omega and gamma
-    unless frozen at their `init` values.
+    `names` orders the fitted parameters: the state's, then omega and gamma.
     """
 
-    def __init__(self, trace, model, init, nmax, fit_omega=True, fit_gamma=True):
+    def __init__(self, trace, model, init, nmax):
         if model not in _MODEL_PARAMS:
             raise ValueError(f"unknown state model {model!r}")
         self.model = model
         self.nmax = nmax
-        self.state_names = _MODEL_PARAMS[model]
-        self.names = self.state_names + ("omega",) * fit_omega + ("gamma",) * fit_gamma
-        missing = [n for n in self.state_names + ("omega", "gamma") if n not in init]
+        self.names = _MODEL_PARAMS[model] + ("omega", "gamma")
+        missing = [n for n in self.names if n not in init]
         if missing:
             raise ValueError(f"init missing parameters: {missing}")
-        self.init = init
         self.x0 = np.array([init[n] for n in self.names], dtype=float)
         self.times = trace.times
         self.pdown = trace.pdown
@@ -302,12 +299,8 @@ class TraceResiduals:
     def _evaluate(self, x):
         key = np.asarray(x, dtype=float).tobytes()
         if key != self._key:
-            vals = dict(zip(self.names, x))
-            omega = vals.get("omega", self.init["omega"])
-            gamma = vals.get("gamma", self.init["gamma"])
-            pops, dpops = model_populations(
-                self.model, [vals[n] for n in self.state_names], self.nmax
-            )
+            *state, omega, gamma = x
+            pops, dpops = model_populations(self.model, state, self.nmax)
             E, root_t = spinmotion.bsb_phasors(self.times, omega, abs(gamma), self.nmax)
             self._key, self._cached = key, (pops, dpops, E, root_t, gamma)
         return self._cached
@@ -318,21 +311,18 @@ class TraceResiduals:
 
     def jac(self, x):
         pops, dpops, E, root_t, gamma = self._evaluate(x)
-        cols = [0.5 * (E.real @ dpops)]
-        if "omega" in self.names:
-            cols.append(-0.5 * ((root_t * E.imag) @ pops)[:, None])
-        if "gamma" in self.names:
-            cols.append(-0.5 * _sign(gamma) * ((root_t * E.real) @ pops)[:, None])
+        cols = [0.5 * (E.real @ dpops),
+                -0.5 * ((root_t * E.imag) @ pops)[:, None],
+                -0.5 * _sign(gamma) * ((root_t * E.real) @ pops)[:, None]]
         return np.hstack(cols) / self.sigma[:, None]
 
 
-def fit_state_model(trace, model, init, nmax=None, fit_omega=True, fit_gamma=True,
-                    n_starts=5, seed=0):
+def fit_state_model(trace, model, init, nmax=None, n_starts=5, seed=0):
     """Nonlinear least-squares fit of a parameterized state to a Rabi trace.
 
     `init` maps parameter names to finite starting values and must include
     the state parameters plus omega and gamma (shared nuisance parameters,
-    frozen unless fit_omega/fit_gamma).  Multi-start Levenberg-Marquardt
+    fitted with them).  Multi-start Levenberg-Marquardt
     (MINPACK lmder) with the analytic Jacobian of `TraceResiduals`, scaled
     by its column norms.  The first step is bounded by 0.1 ||D x||, the low
     end of MINPACK's documented range, not the 100 ||D x|| of
@@ -353,7 +343,7 @@ def fit_state_model(trace, model, init, nmax=None, fit_omega=True, fit_gamma=Tru
         raise ValueError(f"init values must be finite: {bad}")
     if nmax is None:
         nmax = _default_nmax(model, init)
-    residuals = TraceResiduals(trace, model, init, nmax, fit_omega, fit_gamma)
+    residuals = TraceResiduals(trace, model, init, nmax)
     nyquist_check(trace.times, init["omega"] * 1.2, nmax)
 
     rng = np.random.default_rng(seed)
@@ -503,17 +493,17 @@ def contrast_and_noise(pmax, pmin, shots):
     return c, math.sqrt(var)
 
 
-def snr_and_enhancement(c_amp, c_ref, shots, p_center=0.5):
+def snr_and_enhancement(c_amp, c_ref, shots):
     """Signal-to-noise ratios of two contrasts and their ratio in dB.
 
-    SNR uses the projection noise of a fringe centered at p_center; the
+    SNR uses the projection noise of a fringe centered at 1/2; the
     enhancement 20 log10(C_amp / C_ref) is the linear-regime sensitivity
     gain bound.
     """
     if c_ref <= 0:
         raise ValueError("reference contrast must be positive")
-    pmax_a, pmin_a = p_center + c_amp / 2, p_center - c_amp / 2
-    pmax_r, pmin_r = p_center + c_ref / 2, p_center - c_ref / 2
+    pmax_a, pmin_a = 0.5 + c_amp / 2, 0.5 - c_amp / 2
+    pmax_r, pmin_r = 0.5 + c_ref / 2, 0.5 - c_ref / 2
     _, sig_a = contrast_and_noise(pmax_a, pmin_a, shots)
     _, sig_r = contrast_and_noise(pmax_r, pmin_r, shots)
     s_amp = c_amp / sig_a

@@ -224,29 +224,3 @@ def hermitian_propagator(H, t):
     w, v = np.linalg.eigh(H)
     phases = np.exp(-1j * w * t)
     return (v * phases) @ v.conj().T
-
-
-def expm_antihermitian(K):
-    """exp(K) for anti-Hermitian K (so the result is unitary)."""
-    defect = float(np.max(np.abs(K + K.conj().T)))
-    scale = max(1.0, float(np.max(np.abs(K))))
-    if defect > 1e-9 * scale:
-        raise ValueError(f"generator is not anti-Hermitian (defect {defect:.3e})")
-    # K = -i H with H = iK Hermitian; exp(K) = exp(-i H)
-    return hermitian_propagator(1j * K, 1.0)
-
-
-def matrix_exponential_apply(H, t, state):
-    """Apply exp(-i H t) to a pure state; H must be Hermitian.
-
-    Norm is preserved to numerical precision; serves as the oracle for the
-    analytic state constructors.
-    """
-    U = hermitian_propagator(H, t)
-    amps = state if isinstance(state, np.ndarray) else state.amps
-    if U.shape[0] != amps.size:
-        raise DimensionMismatchError("Hamiltonian does not match state dimension")
-    out = U @ amps
-    if isinstance(state, np.ndarray):
-        return out
-    return type(state)(state.space, out)

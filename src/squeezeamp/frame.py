@@ -167,7 +167,7 @@ def evolve_frame_segment(rho, base_map, segment, noise, tol=1e-7, min_steps=4,
     Romberg rows agree within `tol`, up to min_steps * 2^max_doublings steps.
     """
     end_map = base_map.compose_local(gaussian.segment_map(segment, segment.duration))
-    if noise.is_zero or not segment.noise_active:
+    if noise.is_zero:
         return rho, end_map
     return lindblad.extrapolated_doubling(
         lambda n_steps: _segment_step_run(rho, base_map, segment, noise, n_steps),
@@ -189,14 +189,14 @@ class FrameResult:
         at = complex(np.trace(a @ self.rho))
         return self.fmap.mu * at + self.fmap.nu * np.conj(at) + self.fmap.c
 
-    def lab_density(self, lab_space=None, residual_tol=SQUEEZE_RESIDUAL_TOL):
+    def lab_density(self, lab_space=None):
         """Reconstruct the lab-frame density operator rho = V rho~ V†.
 
         Requires the total map to be displacement plus rotation (|nu| small):
         then V = D(c) e^{-i lambda n} with e^{-i lambda} = mu, and both
         factors are applied exactly/densely at the (small) lab truncation.
         """
-        if self.fmap.squeeze_magnitude > residual_tol:
+        if self.fmap.squeeze_magnitude > SQUEEZE_RESIDUAL_TOL:
             raise ValueError(
                 "total sequence map still contains squeezing "
                 f"(|nu| = {self.fmap.squeeze_magnitude:.2e}); "
@@ -234,8 +234,7 @@ def run_gaussian_sequence_frame(seq, noise, space=None, tol=1e-7):
     return FrameResult(space, rho, fmap)
 
 
-def amplification_sequence(alpha_i, r, g, displace_duration=5e-6, theta=0.0,
-                           displacement_phase=0.0, noise_during_displacement=True):
+def amplification_sequence(alpha_i, r, g, displace_duration=5e-6, theta=0.0):
     """Squeeze(r, theta), displace(alpha_i), anti-squeeze pulse sequence.
 
     The pre-squeeze uses phase theta and the post-squeeze theta+pi so the
@@ -253,9 +252,8 @@ def amplification_sequence(alpha_i, r, g, displace_duration=5e-6, theta=0.0,
             lindblad.Segment(
                 "displace",
                 displace_duration,
-                (displacement_phase + cmath.phase(complex(alpha_i))) % (2 * math.pi),
+                cmath.phase(complex(alpha_i)) % (2 * math.pi),
                 abs(alpha_i) / displace_duration,
-                noise_active=noise_during_displacement,
             )
         )
     if r > 0:
@@ -266,7 +264,7 @@ def amplification_sequence(alpha_i, r, g, displace_duration=5e-6, theta=0.0,
 
 
 def amplify_with_noise(alpha_i, r, noise, g, displace_duration=5e-6, theta=0.0,
-                       frame_space=None, noise_during_displacement=True, tol=1e-7):
+                       frame_space=None, tol=1e-7):
     """Noisy amplification of a small displacement at arbitrary squeezing.
 
     Returns a FrameResult whose map carries the ideal alpha_f and whose
@@ -277,10 +275,7 @@ def amplify_with_noise(alpha_i, r, noise, g, displace_duration=5e-6, theta=0.0,
     anti-squeeze cannot undo a squeeze from r ~ 8.7 up, and `lab_density`
     would refuse the result.
     """
-    seq = amplification_sequence(
-        alpha_i, r, g, displace_duration, theta,
-        noise_during_displacement=noise_during_displacement,
-    )
+    seq = amplification_sequence(alpha_i, r, g, displace_duration, theta)
     fmap = FrameMap()
     for segment in seq.segments:
         fmap = fmap.compose_local(gaussian.segment_map(segment, segment.duration))

@@ -179,7 +179,7 @@ def displacement_operator(d, space):
     """Dense matrix of D(α) on the truncated space."""
     a = fock.ladder_lowering(space)
     K = d.alpha * a.conj().T - np.conj(d.alpha) * a
-    return fock.expm_antihermitian(K)
+    return fock.hermitian_propagator(1j * K, 1.0)
 
 
 def squeeze_operator(xi, space):
@@ -187,7 +187,7 @@ def squeeze_operator(xi, space):
     a = fock.ladder_lowering(space)
     a2 = a @ a
     K = 0.5 * (np.conj(xi.xi) * a2 - xi.xi * a2.conj().T)
-    return fock.expm_antihermitian(K)
+    return fock.hermitian_propagator(1j * K, 1.0)
 
 
 def _state(space, amps, check_tail):

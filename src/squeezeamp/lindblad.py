@@ -68,13 +68,12 @@ class Segment:
     duration: float  # seconds
     phase: float = 0.0
     strength: float = 0.0
-    noise_active: bool = True
 
     def __post_init__(self):
         if self.kind not in SEGMENT_KINDS:
             raise ValueError(f"unknown segment kind {self.kind!r}")
-        if self.duration <= 0:
-            raise ValueError("segment duration must be > 0")
+        if not (np.isfinite(self.duration) and self.duration > 0):
+            raise ValueError("segment duration must be finite and > 0")
         if not (np.isfinite(self.phase) and np.isfinite(self.strength)):
             raise ValueError("segment phase and strength must be finite")
         if self.strength < 0:
@@ -155,20 +154,11 @@ def segment_hamiltonian(segment, space):
     Motional drives are tensored with the qubit identity so every segment
     acts on the same composite space.
     """
-    dim = space.dim
-    if segment.kind == "carrier":
-        return np.kron(
-            0.5 * segment.strength * np.array(
-                [[0, np.exp(-1j * segment.phase)], [np.exp(1j * segment.phase), 0]]
-            ),
-            np.eye(dim),
-        )
-    if segment.kind in ("rsb", "bsb"):
-        kind = spinmotion.RSB if segment.kind == "rsb" else spinmotion.BSB
-        return spinmotion.sideband_hamiltonian(kind, segment.strength, segment.phase, space)
+    if segment.kind not in MOTIONAL_KINDS:
+        return spinmotion.sideband_hamiltonian(segment.kind, segment.strength, segment.phase, space)
     h_mot = _motional_hamiltonian(segment, space)
     if h_mot is None:
-        h_mot = np.zeros((dim, dim), dtype=complex)
+        h_mot = np.zeros((space.dim, space.dim), dtype=complex)
     return np.kron(np.eye(2), h_mot)
 
 
@@ -307,10 +297,10 @@ def _lift_initial(initial, space=None):
 def run_sequence(seq, noise, initial, tol=1e-7):
     """Apply every segment of a PulseSequence with Lindblad noise.
 
-    Noise acts throughout each segment unless the segment's `noise_active`
-    flag is False.  Motional segments (`MOTIONAL_KINDS`) act as I (x) L on
-    the joint state, so each nonzero N x N qubit block evolves on its own,
-    converged to `tol` in trace distance.  After every segment the
+    Noise acts throughout every segment.  Motional segments
+    (`MOTIONAL_KINDS`) act as I (x) L on the joint state, so each nonzero
+    N x N qubit block evolves on its own, converged to `tol` in trace
+    distance.  After every segment the
     truncation tail is checked (TruncationError).  Returns the joint
     DensityOperator.
     """
@@ -318,7 +308,6 @@ def run_sequence(seq, noise, initial, tol=1e-7):
     space = rho.space
     d = space.dim
     for segment in seq.segments:
-        seg_noise = noise if segment.noise_active else NoiseParams.none()
         if segment.kind in MOTIONAL_KINDS:
             H = _motional_hamiltonian(segment, space)
             mat = rho.matrix.copy()
@@ -326,11 +315,11 @@ def run_sequence(seq, noise, initial, tol=1e-7):
                 for cols in (slice(0, d), slice(d, None)):
                     if np.any(mat[rows, cols]):
                         block = fock.DensityOperator(space, mat[rows, cols])
-                        out = lindblad_evolve(block, H, seg_noise, segment.duration, tol=tol)
+                        out = lindblad_evolve(block, H, noise, segment.duration, tol=tol)
                         mat[rows, cols] = out.matrix
             rho = fock.DensityOperator(space, mat, "joint")
         else:
             H = segment_hamiltonian(segment, space)
-            rho = lindblad_evolve(rho, H, seg_noise, segment.duration, tol=tol)
+            rho = lindblad_evolve(rho, H, noise, segment.duration, tol=tol)
         rho.check_tail()
     return rho

@@ -21,10 +21,6 @@ import numpy as np
 from . import fock, gaussian
 from .errors import DimensionMismatchError
 
-RSB = "RSB"
-BSB = "BSB"
-CARRIER = "CARRIER"
-
 _SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |up><down|
 
 
@@ -77,72 +73,28 @@ class JointState:
         return fock._checked_tail(self.tail_mass(), eps, self.space.dim)
 
 
-@dataclass(frozen=True)
-class SidebandPulse:
-    """One resonant pulse: kind RSB/BSB/CARRIER, Rabi rate, duration, phase."""
-
-    kind: str
-    rabi: float  # rad/s
-    duration: float  # s
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in (RSB, BSB, CARRIER):
-            raise ValueError(f"unknown pulse kind {self.kind!r}")
-        if self.rabi < 0 or self.duration < 0:
-            raise ValueError("rabi rate and duration must be >= 0")
-
-    @classmethod
-    def pi_pulse(cls, kind, rabi, phase=0.0):
-        """Pulse with Omega t / 2 = pi / 2 exactly."""
-        return cls(kind, rabi, math.pi / rabi, phase)
-
-    @property
-    def area(self):
-        """Pulse area Omega t / 2."""
-        return 0.5 * self.rabi * self.duration
-
-
-def u_carrier(phase, angle):
-    """2x2 rotation by `angle` about the equatorial axis at azimuth `phase`.
-
-    R = exp(-i (angle/2)(cos(phase) sigma_x + sin(phase) sigma_y)) in the
-    (down, up) basis.
-    """
-    c, s = math.cos(0.5 * angle), math.sin(0.5 * angle)
-    return np.array(
-        [[c, -1j * np.exp(-1j * phase) * s], [-1j * np.exp(1j * phase) * s, c]],
-        dtype=complex,
-    )
-
-
-def lift_carrier(phase, angle, space):
-    """Carrier rotation as a 2N x 2N operator (identity on the oscillator)."""
-    return np.kron(u_carrier(phase, angle), np.eye(space.dim))
-
-
 def sideband_hamiltonian(kind, rabi, phase, space):
-    """H_RSB = (Omega/2)(e^{i phase} sigma+ a + h.c.); BSB couples to a†."""
+    """Joint 2N x 2N Hamiltonian of a resonant `rsb`, `bsb` or `carrier` pulse.
+
+    H_rsb = (Omega/2)(e^{i phase} sigma+ a + h.c.) and `bsb` couples to a†;
+    H_carrier = (Omega/2)(e^{-i phase} |down><up| + h.c.) (x) I.
+    """
+    if kind == "carrier":
+        return np.kron(
+            0.5 * rabi * np.array([[0, np.exp(-1j * phase)], [np.exp(1j * phase), 0]]),
+            np.eye(space.dim),
+        )
+    if kind not in ("rsb", "bsb"):
+        raise ValueError(f"pulse kind must be rsb, bsb or carrier, got {kind!r}")
     a = fock.ladder_lowering(space)
-    coupling = a if kind == RSB else a.conj().T
-    if kind not in (RSB, BSB):
-        raise ValueError(f"sideband kind must be RSB or BSB, got {kind!r}")
+    coupling = a if kind == "rsb" else a.conj().T
     term = 0.5 * rabi * np.exp(1j * phase) * np.kron(_SIGMA_PLUS, coupling)
     return term + term.conj().T
 
 
-def u_sideband(kind, pulse, space):
-    """Unitary exp(-i H t) of a resonant first-sideband pulse (2N x 2N)."""
-    if kind == CARRIER:
-        return lift_carrier(pulse.phase, pulse.rabi * pulse.duration, space)
-    H = sideband_hamiltonian(kind, pulse.rabi, pulse.phase, space)
-    return fock.hermitian_propagator(H, pulse.duration)
-
-
-def apply_pulse(pulse, state):
-    """Apply a sideband or carrier pulse to a JointState."""
-    U = u_sideband(pulse.kind, pulse, state.space)
-    return JointState(state.space, U @ state.amps)
+def u_sideband(kind, rabi, duration, phase, space):
+    """Unitary exp(-i H t) of a resonant `rsb`, `bsb` or `carrier` pulse (2N x 2N)."""
+    return fock.hermitian_propagator(sideband_hamiltonian(kind, rabi, phase, space), duration)
 
 
 def bsb_phasors(times, omega, gamma, nmax):
@@ -262,10 +214,10 @@ def psrsb_exact_pdown(alpha, phi, space, beatnote=0.0):
     mag = abs(alpha)
     disp = gaussian.Displacement(mag * np.exp(1j * beatnote))
     motional = gaussian.coherent_state(disp, space)
-    state = JointState.from_motional(motional, "down")
-    state = apply_pulse(SidebandPulse.pi_pulse(RSB, 1.0, phase=0.0), state)
-    state = JointState(space, lift_carrier(phi, 0.5 * math.pi, space) @ state.amps)
-    return state.p_down
+    amps = JointState.from_motional(motional, "down").amps
+    amps = u_sideband("rsb", 1.0, math.pi, 0.0, space) @ amps
+    amps = u_sideband("carrier", 1.0, 0.5 * math.pi, phi, space) @ amps
+    return JointState(space, amps).p_down
 
 
 def psrsb_contrast(alpha, space=None):

@@ -187,6 +187,29 @@ class TestSimulateCommand:
         assert record["error"] == "ConfigError"
         assert record["line"] == 1
 
+    @pytest.mark.parametrize("segment, noiseless", [
+        ("free nan 0 0", True),
+        ("displace inf 0 1000", True),
+        ("displace inf 0 1000", False),
+    ])
+    def test_non_finite_duration_is_config_error(self, tmp_path, capsys, segment, noiseless):
+        seq_path = tmp_path / "seq.txt"
+        seq_path.write_text(f"rsb 10 0 1000\n{segment}\n")
+        argv = ["simulate", "--sequence", str(seq_path), "--out", str(tmp_path / "x")]
+        if noiseless:
+            argv += ["--config", write_config(tmp_path)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+        assert code == cli.EXIT_CONFIG
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "ConfigError"
+        assert record["line"] == 2
+        assert not (tmp_path / "x" / "simulate.json").exists()
+
 
 class TestErrorHandling:
     def test_unknown_config_key_exit_code(self, tmp_path, capsys):

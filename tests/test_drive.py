@@ -37,7 +37,7 @@ def evolve_rwa(p, state, duration=None):
     """Evolve a state under the RWA Hamiltonian; equals S(gt, θ) up to convention."""
     t = p.duration if duration is None else duration
     H = hamiltonian_rwa(p, state.space)
-    return fock.matrix_exponential_apply(H, t, state)
+    return fock.MotionalState(state.space, fock.hermitian_propagator(H, t) @ state.amps)
 
 
 def _integrate_lab(p, space, n_steps, t_final):

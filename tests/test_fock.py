@@ -19,9 +19,9 @@ from squeezeamp import (
     number_operator,
     expectation,
     fidelity,
-    matrix_exponential_apply,
     default_truncation,
 )
+from squeezeamp.fock import hermitian_propagator
 from squeezeamp.errors import DimensionMismatchError, TruncationError
 
 
@@ -90,18 +90,18 @@ def test_squeeze_unsqueeze_returns_to_vacuum():
 def test_matrix_exponential_identity_cases():
     sp = FockSpace(32)
     psi = coherent_state(Displacement(0.4), sp)
-    out = matrix_exponential_apply(np.zeros((32, 32)), 1.0, psi)
-    assert np.allclose(out.amps, psi.amps)
+    out = hermitian_propagator(np.zeros((32, 32)), 1.0) @ psi.amps
+    assert np.allclose(out, psi.amps)
     # integer spectrum: exp(-i n 2pi) = identity up to global phase
-    out = matrix_exponential_apply(number_operator(sp), 2 * math.pi, psi)
-    overlap = np.vdot(psi.amps, out.amps)
+    out = hermitian_propagator(number_operator(sp), 2 * math.pi) @ psi.amps
+    overlap = np.vdot(psi.amps, out)
     assert abs(overlap) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_matrix_exponential_rejects_non_hermitian():
     sp = FockSpace(8)
     with pytest.raises(ValueError):
-        matrix_exponential_apply(ladder_lowering(sp), 1.0, vacuum(sp))
+        hermitian_propagator(ladder_lowering(sp), 1.0)
 
 
 def test_matrix_exponential_matches_squeezed_populations():
@@ -110,7 +110,7 @@ def test_matrix_exponential_matches_squeezed_populations():
     a = ladder_lowering(sp)
     a2 = a @ a
     H = 1j * 0.5 * (a2 - a2.conj().T)  # g = 1; Hermitian
-    out = matrix_exponential_apply(H, 0.5, vacuum(sp))
+    out = MotionalState(sp, hermitian_propagator(H, 0.5) @ vacuum(sp).amps)
     ref = squeezed_vacuum(SqueezeParam(0.5), sp)
     assert np.max(np.abs(out.populations() - ref.populations())) < 1e-8
     assert out.norm == pytest.approx(1.0, abs=1e-10)

@@ -98,14 +98,6 @@ class TestDenseCrossValidation:
         dense_a = complex(np.trace(a @ dense_mot))
         assert res.mean_lowering == pytest.approx(dense_a, abs=1e-6)
 
-    def test_noise_toggle_respected(self):
-        seq_on = amplification_sequence(0.1, 0.5, G, noise_during_displacement=True)
-        seq_off = amplification_sequence(0.1, 0.5, G, noise_during_displacement=False)
-        on = run_gaussian_sequence_frame(seq_on, NoiseParams(0.0, 18.0), FockSpace(32))
-        off = run_gaussian_sequence_frame(seq_off, NoiseParams(0.0, 18.0), FockSpace(32))
-        # less dephasing time means more coherence retained
-        assert abs(off.mean_lowering) > abs(on.mean_lowering)
-
 
 class TestLargeSqueezing:
     def test_paper_gain_point_with_noise(self):

@@ -258,17 +258,6 @@ class TestRunSequence:
         ref = np.outer(pure.amps, pure.amps.conj())
         assert np.max(np.abs(dens.matrix - ref)) < 1e-8
 
-    def test_noise_toggle_per_segment(self):
-        sp = FockSpace(32)
-        noisy = Segment("free", 1e-3)
-        quiet = Segment("free", 1e-3, noise_active=False)
-        n_op = number_operator(sp)
-        out_noisy = run_sequence(PulseSequence([noisy]), NoiseParams(20.0, 0.0), vacuum(sp))
-        out_quiet = run_sequence(PulseSequence([quiet]), NoiseParams(20.0, 0.0), vacuum(sp))
-        n_joint = np.kron(np.eye(2), n_op)
-        assert out_noisy.expectation_value(n_joint).real == pytest.approx(0.02, rel=1e-6)
-        assert out_quiet.expectation_value(n_joint).real == pytest.approx(0.0, abs=1e-12)
-
     def test_noisy_amplification_loses_contrast(self):
         # small-r amplification with paper noise: |<a>| falls short of ideal
         sp = FockSpace(64)
@@ -321,8 +310,8 @@ class TestRunSequence:
         initial = DensityOperator.from_joint(
             JointState(sp, np.concatenate([motion, motion]) / math.sqrt(2))
         )
-        seq = PulseSequence([Segment("free", 1e-3, noise_active=False)])
-        out = run_sequence(seq, NoiseParams(), initial)
+        seq = PulseSequence([Segment("free", 1e-3)])
+        out = run_sequence(seq, NoiseParams.none(), initial)
         assert np.array_equal(out.matrix, initial.matrix)
 
     def test_tail_checked_after_each_segment(self):

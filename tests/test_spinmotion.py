@@ -7,33 +7,45 @@ from squeezeamp import Displacement, FockSpace, SqueezeParam, coherent_state, sq
 from squeezeamp.errors import DimensionMismatchError
 from squeezeamp.fock import DensityOperator
 from squeezeamp.spinmotion import (
-    BSB,
-    CARRIER,
-    RSB,
     JointState,
-    SidebandPulse,
     _poisson_pmf,
     _rsb_pi_weights,
-    apply_pulse,
     bsb_signal,
     f_alpha,
-    lift_carrier,
     psrsb_contrast,
     psrsb_exact_pdown,
     psrsb_fringe_density,
     psrsb_pdown_series,
     rsb_readout,
-    u_carrier,
+    sideband_hamiltonian,
     u_sideband,
 )
 
 SP = FockSpace(64)
+#: The carrier acts as the identity on the oscillator, so its 2x2 rotation
+#: is read off the smallest space.
+SP2 = FockSpace(2)
 
 
 def down_fock(space, n=0):
     amps = np.zeros(2 * space.dim, dtype=complex)
     amps[n] = 1.0
     return JointState(space, amps)
+
+
+def apply(kind, rabi, duration, state, phase=0.0):
+    """The pulse's unitary applied to a JointState."""
+    return JointState(state.space, u_sideband(kind, rabi, duration, phase, state.space) @ state.amps)
+
+
+def carrier_rotation(phase, angle):
+    """Closed-form oracle: exp(-i (angle/2)(cos(phase) sigma_x + sin(phase) sigma_y))
+    in the (down, up) basis."""
+    c, s = math.cos(0.5 * angle), math.sin(0.5 * angle)
+    return np.array(
+        [[c, -1j * np.exp(-1j * phase) * s], [-1j * np.exp(1j * phase) * s, c]],
+        dtype=complex,
+    )
 
 
 class TestJointState:
@@ -59,59 +71,56 @@ class TestJointState:
 
 class TestCarrier:
     def test_zero_angle_is_identity(self):
-        assert np.allclose(u_carrier(0.7, 0.0), np.eye(2))
+        assert np.allclose(u_sideband("carrier", 1.0, 0.0, 0.7, SP2), np.eye(4))
 
     def test_two_half_pulses_compose_to_pi(self):
-        half = u_carrier(0.3, math.pi / 2)
-        assert np.allclose(half @ half, u_carrier(0.3, math.pi), atol=1e-14)
+        half = u_sideband("carrier", 1.0, math.pi / 2, 0.3, SP2)
+        assert np.allclose(half @ half, u_sideband("carrier", 1.0, math.pi, 0.3, SP2), atol=1e-14)
 
     def test_pi_pulse_flips(self):
-        st = down_fock(SP)
-        out = JointState(SP, lift_carrier(0.0, math.pi, SP) @ st.amps)
+        out = apply("carrier", 1.0, math.pi, down_fock(SP))
         assert out.p_up == pytest.approx(1.0, abs=1e-12)
 
     def test_unitary(self):
-        U = u_carrier(1.1, 0.9)
-        assert np.allclose(U @ U.conj().T, np.eye(2), atol=1e-14)
+        U = u_sideband("carrier", 1.0, 0.9, 1.1, SP2)
+        assert np.allclose(U @ U.conj().T, np.eye(4), atol=1e-14)
 
-
-class TestSidebandPulse:
-    def test_pi_pulse_area(self):
-        p = SidebandPulse.pi_pulse(RSB, 2 * math.pi * 1.1e3)
-        assert p.area == pytest.approx(math.pi / 2, rel=1e-15)
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            SidebandPulse("purple", 1.0, 1.0)
+    @pytest.mark.parametrize("phase, angle", [(0.0, math.pi / 2), (0.3, math.pi), (1.1, 0.9)])
+    def test_matches_closed_form_rotation(self, phase, angle):
+        U = u_sideband("carrier", 2.7, angle / 2.7, phase, FockSpace(8))
+        assert np.max(np.abs(U - np.kron(carrier_rotation(phase, angle), np.eye(8)))) < 1e-14
 
 
 class TestSidebandUnitaries:
     def test_rsb_leaves_down_ground_invariant(self):
         st = down_fock(SP)
         for duration in (0.3, 1.7, 9.2):
-            out = apply_pulse(SidebandPulse(RSB, 1.0, duration), st)
+            out = apply("rsb", 1.0, duration, st)
             assert abs(out.amps[0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_bsb_pi_pulse_transfers_to_up_one(self):
-        out = apply_pulse(SidebandPulse(BSB, 1.0, math.pi), down_fock(SP))
+        out = apply("bsb", 1.0, math.pi, down_fock(SP))
         assert abs(out.amps[SP.dim + 1]) == pytest.approx(1.0, abs=1e-12)
 
     def test_rsb_rabi_rate_scales_as_sqrt_n(self):
         # |down,4> completes a full flop in half the time of |down,1>
         t1 = 2 * math.pi  # full period on n=1 at Omega=1 (rate Omega*sqrt(1))
-        out1 = apply_pulse(SidebandPulse(RSB, 1.0, t1), down_fock(SP, 1))
-        out4 = apply_pulse(SidebandPulse(RSB, 1.0, t1 / 2), down_fock(SP, 4))
+        out1 = apply("rsb", 1.0, t1, down_fock(SP, 1))
+        out4 = apply("rsb", 1.0, t1 / 2, down_fock(SP, 4))
         assert abs(out1.amps[1]) == pytest.approx(1.0, abs=1e-12)
         assert abs(out4.amps[4]) == pytest.approx(1.0, abs=1e-12)
 
     def test_unitarity(self):
-        U = u_sideband(BSB, SidebandPulse(BSB, 1.3, 0.8, phase=0.4), FockSpace(16))
+        U = u_sideband("bsb", 1.3, 0.8, 0.4, FockSpace(16))
         assert np.allclose(U.conj().T @ U, np.eye(32), atol=1e-12)
 
     def test_carrier_kind_routes_to_rotation(self):
-        p = SidebandPulse(CARRIER, 1.0, math.pi, phase=0.0)
-        out = apply_pulse(p, down_fock(SP))
+        out = apply("carrier", 1.0, math.pi, down_fock(SP))
         assert out.p_up == pytest.approx(1.0, abs=1e-12)
+
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="purple"):
+            sideband_hamiltonian("purple", 1.0, 0.0, SP2)
 
 
 class TestBsbSignal:
@@ -146,7 +155,7 @@ class TestBsbSignal:
         st = JointState.from_motional(squeezed_vacuum(SqueezeParam(1.0), sp), "down")
         om = 2 * math.pi * 1.1e3
         for t in (0.1e-3, 0.37e-3):
-            out = apply_pulse(SidebandPulse(BSB, om, t), st)
+            out = apply("bsb", om, t, st)
             ref = bsb_signal(st.motional_populations()[:90], om, 0.0, [t])[0]
             assert out.p_down == pytest.approx(ref, abs=1e-9)
 
@@ -244,7 +253,7 @@ def matrix_readout(rho, rabi=1.0):
     d = rho.space.dim
     joint = np.zeros((2 * d, 2 * d), dtype=complex)
     joint[:d, :d] = rho.matrix
-    U = u_sideband(RSB, SidebandPulse.pi_pulse(RSB, rabi), rho.space)
+    U = u_sideband("rsb", rabi, math.pi / rabi, 0.0, rho.space)
     joint = U @ joint @ U.conj().T
     return float(np.trace(joint[:d, :d]).real), complex(np.trace(joint[d:, :d]))
 
