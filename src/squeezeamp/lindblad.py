@@ -155,7 +155,9 @@ def segment_hamiltonian(segment, space):
     acts on the same composite space.
     """
     if segment.kind not in MOTIONAL_KINDS:
-        return spinmotion.sideband_hamiltonian(segment.kind, segment.strength, segment.phase, space)
+        return spinmotion.sideband_hamiltonian(
+            segment.kind, segment.strength, segment.phase, space
+        )
     h_mot = _motional_hamiltonian(segment, space)
     if h_mot is None:
         h_mot = np.zeros((space.dim, space.dim), dtype=complex)

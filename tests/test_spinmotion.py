@@ -35,7 +35,8 @@ def down_fock(space, n=0):
 
 def apply(kind, rabi, duration, state, phase=0.0):
     """The pulse's unitary applied to a JointState."""
-    return JointState(state.space, u_sideband(kind, rabi, duration, phase, state.space) @ state.amps)
+    U = u_sideband(kind, rabi, duration, phase, state.space)
+    return JointState(state.space, U @ state.amps)
 
 
 def carrier_rotation(phase, angle):
