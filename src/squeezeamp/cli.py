@@ -27,7 +27,6 @@ from .experiments import (
 )
 from .fitting import RabiTrace, fit_state_model
 from .lindblad import PulseSequence, run_sequence
-from .spinmotion import JointState
 
 _log = logging.getLogger(__name__)
 
@@ -204,8 +203,7 @@ def _cmd_simulate(args):
     with open(args.sequence) as fh:
         seq = PulseSequence.from_text(fh.read())
     space = fock.FockSpace(cfg["lab_truncation"])
-    initial = JointState.from_motional(fock.vacuum(space), "down")
-    rho = run_sequence(seq, cfg.noise, initial)
+    rho = run_sequence(seq, cfg.noise, fock.vacuum(space))
     pops = rho.motional_populations()
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "simulate.csv"), "w") as fh:

@@ -75,7 +75,8 @@ _POSITIVE_KEYS = {"omega_r_mhz", "g_khz", "omega_sb_khz", "rwa_ratio_list"}
 _NON_NEGATIVE_KEYS = _INT_KEYS | {"heating_quanta_per_s", "dephasing_per_s", "bsb_decay_per_s",
                                   "displace_duration_us", "squeeze_durations_us"}
 _MIN_POINTS = {"trace_points": 1, "theta_points": 1, "phi_points": 8,
-               "squeeze_durations_us": 1, "alpha_list": 2}
+               "squeeze_durations_us": 1, "alpha_list": 2, "squeeze_r_list": 1,
+               "rwa_ratio_list": 1}
 # the gain curve keys trace sample i of block b as b * 100_000 + i
 _MAX_POINTS = {"trace_points": 100_000}
 
@@ -246,12 +247,16 @@ class SweepResult:
 
 def _amplified_density(cfg, alpha_i, r, theta=0.0):
     """Lab-frame density operator after noisy squeeze-displace-antisqueeze."""
+    lab, frame_dim = cfg["lab_truncation"], cfg["frame_truncation"]
+    if lab < frame_dim:
+        raise ConfigError(f"lab_truncation {lab} must be >= frame_truncation {frame_dim}: "
+                          "the lab density holds the frame state", key="lab_truncation")
     res = amplify_with_noise(
         alpha_i, r, cfg.noise, cfg.g,
         displace_duration=cfg["displace_duration_us"] * 1e-6,
-        theta=theta, frame_space=fock.FockSpace(cfg["frame_truncation"]),
+        theta=theta, frame_space=fock.FockSpace(frame_dim),
     )
-    return res.lab_density(fock.FockSpace(cfg["lab_truncation"]))
+    return res.lab_density(fock.FockSpace(lab))
 
 
 def _contrast(cfg, alpha_i, r, theta=0.0):

@@ -76,11 +76,15 @@ class RabiTrace:
         if not lines or lines[0].strip() != "t_us,p_down,shots":
             raise ValueError("trace CSV must start with header t_us,p_down,shots")
         times, pdown, shots = [], [], []
-        for ln in lines[1:]:
-            t_us, p, s = ln.split(",")
-            times.append(float(t_us) * 1e-6)
-            pdown.append(float(p))
-            shots.append(int(s))
+        for row, ln in enumerate(lines[1:], start=1):
+            try:
+                t_us, p, s = ln.split(",")
+                times.append(float(t_us) * 1e-6)
+                pdown.append(float(p))
+                shots.append(int(s))
+            except ValueError as exc:
+                raise ValueError(f"trace row {row} ({ln.strip()!r}) needs the numbers "
+                                 f"t_us,p_down,shots: {exc}") from None
         if len(set(shots)) != 1:
             raise ValueError("trace CSV must hold at least one row, all with one shots value")
         return cls(np.array(times), np.array(pdown), shots[0])

@@ -146,11 +146,6 @@ class DensityOperator:
         rho = np.outer(state.amps, state.amps.conj())
         return cls(state.space, rho, "motional")
 
-    @classmethod
-    def from_joint(cls, state):
-        rho = np.outer(state.amps, state.amps.conj())
-        return cls(state.space, rho, "joint")
-
     @property
     def trace(self):
         return complex(np.trace(self.matrix))
@@ -187,7 +182,7 @@ class DensityOperator:
 
 
 def expectation(state, op):
-    """<psi|op|psi> for a pure state (MotionalState, JointState or raw vector)."""
+    """<psi|op|psi> for a pure state (MotionalState or raw vector)."""
     amps = state if isinstance(state, np.ndarray) else state.amps
     op = np.asarray(op)
     if op.shape != (amps.size, amps.size):

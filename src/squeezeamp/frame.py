@@ -77,6 +77,9 @@ _CHUNK = 8
 #: rotation.
 SQUEEZE_RESIDUAL_TOL = 1e-9
 
+#: Step ceiling of a frame segment: its last run has 4 * 2^11 steps.
+_MAX_STEPS = 8192
+
 
 def _dagger(m):
     return m.conj().swapaxes(-1, -2)
@@ -157,21 +160,19 @@ def _segment_step_run(rho, base_map, segment, noise, n_steps):
     return basis @ rho @ _dagger(basis)
 
 
-def evolve_frame_segment(rho, base_map, segment, noise, tol=1e-7, min_steps=4,
-                         max_doublings=11):
+def evolve_frame_segment(rho, base_map, segment, noise):
     """Advance the frame density matrix through one Gaussian segment.
 
     Returns (rho, map after the segment).  The coherent part is absorbed in
-    the map update; only noise touches rho.  Strang runs double from
-    `min_steps` under `lindblad.extrapolated_doubling` until the tops of two
-    Romberg rows agree within `tol`, up to min_steps * 2^max_doublings steps.
+    the map update; only noise touches rho.  Strang runs double under
+    `lindblad.extrapolated_doubling` up to `_MAX_STEPS` steps.
     """
     end_map = base_map.compose_local(gaussian.segment_map(segment, segment.duration))
     if noise.is_zero:
         return rho, end_map
     return lindblad.extrapolated_doubling(
         lambda n_steps: _segment_step_run(rho, base_map, segment, noise, n_steps),
-        tol, min_steps, min_steps * 2**max_doublings, "frame", segment.kind), end_map
+        _MAX_STEPS, "frame", segment.kind), end_map
 
 
 @dataclass(frozen=True)
@@ -189,12 +190,12 @@ class FrameResult:
         at = complex(np.trace(a @ self.rho))
         return self.fmap.mu * at + self.fmap.nu * np.conj(at) + self.fmap.c
 
-    def lab_density(self, lab_space=None):
+    def lab_density(self, lab_space):
         """Reconstruct the lab-frame density operator rho = V rho~ V†.
 
         Requires the total map to be displacement plus rotation (|nu| small):
         then V = D(c) e^{-i lambda n} with e^{-i lambda} = mu, and both
-        factors are applied exactly/densely at the (small) lab truncation.
+        factors are applied densely on `lab_space`, which must hold the frame space.
         """
         if self.fmap.squeeze_magnitude > SQUEEZE_RESIDUAL_TOL:
             raise ValueError(
@@ -202,9 +203,6 @@ class FrameResult:
                 f"(|nu| = {self.fmap.squeeze_magnitude:.2e}); "
                 "reconstruct only after the anti-squeeze completes"
             )
-        if lab_space is None:
-            need = fock.default_truncation(0.0, abs(self.fmap.c)) + self.space.dim
-            lab_space = fock.FockSpace(max(need, self.space.dim))
         d = lab_space.dim
         big = np.zeros((d, d), dtype=complex)
         nf = self.space.dim
@@ -216,7 +214,7 @@ class FrameResult:
         return fock.DensityOperator(lab_space, D @ big @ D.conj().T, "motional")
 
 
-def run_gaussian_sequence_frame(seq, noise, space=None, tol=1e-7):
+def run_gaussian_sequence_frame(seq, noise, space=None):
     """Frame-engine counterpart of run_sequence for Gaussian motional segments.
 
     `space` is the frame truncation (a few tens of levels); the initial state
@@ -230,7 +228,7 @@ def run_gaussian_sequence_frame(seq, noise, space=None, tol=1e-7):
     rho[0, 0] = 1.0
     fmap = FrameMap()
     for segment in seq.segments:
-        rho, fmap = evolve_frame_segment(rho, fmap, segment, noise, tol=tol)
+        rho, fmap = evolve_frame_segment(rho, fmap, segment, noise)
     return FrameResult(space, rho, fmap)
 
 
@@ -264,7 +262,7 @@ def amplification_sequence(alpha_i, r, g, displace_duration=5e-6, theta=0.0):
 
 
 def amplify_with_noise(alpha_i, r, noise, g, displace_duration=5e-6, theta=0.0,
-                       frame_space=None, tol=1e-7):
+                       frame_space=None):
     """Noisy amplification of a small displacement at arbitrary squeezing.
 
     Returns a FrameResult whose map carries the ideal alpha_f and whose
@@ -284,4 +282,4 @@ def amplify_with_noise(alpha_i, r, noise, g, displace_duration=5e-6, theta=0.0,
             f"squeeze r = {r:g} cannot be undone in float64: the noiseless map keeps "
             f"|nu| = {fmap.squeeze_magnitude:.2e}, above the residual "
             f"{SQUEEZE_RESIDUAL_TOL:g} that lab_density accepts")
-    return run_gaussian_sequence_frame(seq, noise, space=frame_space, tol=tol)
+    return run_gaussian_sequence_frame(seq, noise, space=frame_space)

@@ -148,22 +148,6 @@ def _motional_hamiltonian(segment, space):
     )
 
 
-def segment_hamiltonian(segment, space):
-    """Joint-space (2N x 2N) Hamiltonian of one segment.
-
-    Motional drives are tensored with the qubit identity so every segment
-    acts on the same composite space.
-    """
-    if segment.kind not in MOTIONAL_KINDS:
-        return spinmotion.sideband_hamiltonian(
-            segment.kind, segment.strength, segment.phase, space
-        )
-    h_mot = _motional_hamiltonian(segment, space)
-    if h_mot is None:
-        h_mot = np.zeros((space.dim, space.dim), dtype=complex)
-    return np.kron(np.eye(2), h_mot)
-
-
 def _noise_operators(dim, joint, noise):
     """Elementwise weights of the dissipator on an N- or 2N-dim space.
 
@@ -215,24 +199,30 @@ def trace_distance(m1, m2):
     return 0.5 * float(np.sum(np.linalg.svd(m1 - m2, compute_uv=False)))
 
 
-def extrapolated_doubling(run, tol, min_steps, max_steps, engine, kind=None):
+#: The step policy of both noisy engines: a segment converges once two Romberg
+#: rows' tops lie within trace distance _TOL, its first run has _MIN_STEPS
+#: steps, and a dense segment fails past max(16, ceil(t / 1 us)) * 2^_MAX_DOUBLINGS.
+_TOL = 1e-7
+_MIN_STEPS = 4
+_MAX_DOUBLINGS = 10
+
+
+def extrapolated_doubling(run, max_steps, engine, kind=None):
     """`run(n_steps)` of a symmetric step scheme, converged by step doubling.
 
-    Runs at n, 2n, 4n, ... steps from `min_steps` fill a Romberg table: each
+    Runs at n, 2n, 4n, ... steps from `_MIN_STEPS` fill a Romberg table: each
     run S starts a row at T_0 = S and extends it by
     T_j = T_(j-1) + (T_(j-1) - T'_(j-1)) / (4^j - 1), T' the previous row, so
     the top entry of the row of k runs cancels the error terms in dt^2, dt^4,
-    ..., dt^(2k-2).  From the third run on, the new row's top entry is
-    returned once its trace distance to the previous row's top entry is
-    below `tol`; else ConvergenceError follows the first run of >=
-    `max_steps` steps, or any run whose matrix is not finite.  Success logs
-    one DEBUG record whose attributes `engine`, `kind`, `steps` (every run)
-    and `distance` say how.
+    ..., dt^(2k-2) (Hairer, Lubich & Wanner, Geometric Numerical Integration,
+    II.4).  From the third run on, the new row's top entry is returned once
+    its trace distance to the previous row's top entry is below `_TOL`; else
+    ConvergenceError follows the first run of >= `max_steps` steps, or any
+    run whose matrix is not finite.  Success logs one DEBUG record whose
+    attributes `engine`, `kind`, `steps` (every run) and `distance` say how.
     """
-    if min_steps < 1 or 2 * min_steps >= max_steps:
-        raise ValueError("need min_steps >= 1 and max_steps > 2 * min_steps (three runs)")
     name = f"{engine} {kind or 'segment'}"
-    steps, row = [min_steps], []
+    steps, row = [_MIN_STEPS], []
     while True:
         with np.errstate(over="ignore", invalid="ignore"):
             new_row = [run(steps[-1])]
@@ -242,7 +232,7 @@ def extrapolated_doubling(run, tol, min_steps, max_steps, engine, kind=None):
             new_row.append(new_row[-1] + (new_row[-1] - coarser) / (4.0**j - 1.0))
         if len(row) >= 2:
             distance = trace_distance(row[-1], new_row[-1])
-            if distance < tol:
+            if distance < _TOL:
                 record = dict(engine=engine, kind=kind, steps=tuple(steps), distance=distance)
                 _log.debug("%s converged, steps %s, distance %.3g", name,
                            "/".join(map(str, steps)), distance, extra=record)
@@ -253,11 +243,11 @@ def extrapolated_doubling(run, tol, min_steps, max_steps, engine, kind=None):
         steps.append(2 * steps[-1])
 
 
-def lindblad_evolve(rho, H, noise, t, tol=1e-7, min_steps=4, max_doublings=10):
+def lindblad_evolve(rho, H, noise, t):
     """Evolve a DensityOperator under constant H plus the noise channels.
 
-    Converged to `tol` by `extrapolated_doubling`, from `min_steps` Strang
-    steps up to max(16, ceil(t / 1 us)) * 2^max_doublings.
+    Converged by `extrapolated_doubling`, from `_MIN_STEPS` Strang steps up
+    to max(16, ceil(t / 1 us)) * 2^`_MAX_DOUBLINGS`.
     """
     if not isinstance(rho, fock.DensityOperator):
         raise TypeError("rho must be a DensityOperator")
@@ -273,38 +263,33 @@ def lindblad_evolve(rho, H, noise, t, tol=1e-7, min_steps=4, max_doublings=10):
         return fock.DensityOperator(rho.space, u @ mat @ u.conj().T, rho.kind)
 
     ops = _noise_operators(rho.space.dim, rho.kind == "joint", noise)
-    out = extrapolated_doubling(lambda n: _strang_run(mat, H, ops, t, n), tol, min_steps,
-                                max(16, math.ceil(t / 1e-6)) * 2**max_doublings, "dense")
+    out = extrapolated_doubling(lambda n: _strang_run(mat, H, ops, t, n),
+                                max(16, math.ceil(t / 1e-6)) * 2**_MAX_DOUBLINGS, "dense")
     return fock.DensityOperator(rho.space, out, rho.kind)
 
 
-def _lift_initial(initial, space=None):
-    """Normalize the accepted initial-state types to a joint DensityOperator."""
-    if isinstance(initial, fock.DensityOperator):
-        if initial.kind == "joint":
-            return initial
-        dim = initial.space.dim
-        mat = np.zeros((2 * dim, 2 * dim), dtype=complex)
-        mat[:dim, :dim] = initial.matrix
-        return fock.DensityOperator(initial.space, mat, "joint")
-    if isinstance(initial, spinmotion.JointState):
-        return fock.DensityOperator(
-            initial.space, np.outer(initial.amps, initial.amps.conj()), "joint"
-        )
+def _lift_initial(initial):
+    """The initial state as a joint DensityOperator, the qubit in |down> if unset."""
     if isinstance(initial, fock.MotionalState):
-        return _lift_initial(fock.DensityOperator.from_motional(initial))
-    raise TypeError("initial must be a JointState, MotionalState, or DensityOperator")
+        initial = fock.DensityOperator.from_motional(initial)
+    if not isinstance(initial, fock.DensityOperator):
+        raise TypeError("initial must be a MotionalState or DensityOperator")
+    if initial.kind == "joint":
+        return initial
+    dim = initial.space.dim
+    mat = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    mat[:dim, :dim] = initial.matrix
+    return fock.DensityOperator(initial.space, mat, "joint")
 
 
-def run_sequence(seq, noise, initial, tol=1e-7):
-    """Apply every segment of a PulseSequence with Lindblad noise.
+def run_sequence(seq, noise, initial):
+    """Apply every segment of a PulseSequence with Lindblad noise to `initial`,
+    a MotionalState or motional DensityOperator (qubit in |down>) or a joint one.
 
-    Noise acts throughout every segment.  Motional segments
-    (`MOTIONAL_KINDS`) act as I (x) L on the joint state, so each nonzero
-    N x N qubit block evolves on its own, converged to `tol` in trace
-    distance.  After every segment the
-    truncation tail is checked (TruncationError).  Returns the joint
-    DensityOperator.
+    Noise acts throughout every segment.  Motional segments (`MOTIONAL_KINDS`)
+    act as I (x) L on the joint state, so each nonzero N x N qubit block
+    evolves on its own.  After every segment the truncation tail is checked
+    (TruncationError).  Returns the joint DensityOperator.
     """
     rho = _lift_initial(initial)
     space = rho.space
@@ -317,11 +302,12 @@ def run_sequence(seq, noise, initial, tol=1e-7):
                 for cols in (slice(0, d), slice(d, None)):
                     if np.any(mat[rows, cols]):
                         block = fock.DensityOperator(space, mat[rows, cols])
-                        out = lindblad_evolve(block, H, noise, segment.duration, tol=tol)
+                        out = lindblad_evolve(block, H, noise, segment.duration)
                         mat[rows, cols] = out.matrix
             rho = fock.DensityOperator(space, mat, "joint")
         else:
-            H = segment_hamiltonian(segment, space)
-            rho = lindblad_evolve(rho, H, noise, segment.duration, tol=tol)
+            H = spinmotion.sideband_hamiltonian(segment.kind, segment.strength,
+                                                segment.phase, space)
+            rho = lindblad_evolve(rho, H, noise, segment.duration)
         rho.check_tail()
     return rho

@@ -13,64 +13,13 @@ the displacement is along the positive real axis, the RSB pi-pulse carries
 phase 0, and the carrier pi/2 pulse is rotated by the scan phase phi.
 """
 
-from dataclasses import dataclass
 import math
 
 import numpy as np
 
 from . import fock, gaussian
-from .errors import DimensionMismatchError
 
 _SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |up><down|
-
-
-@dataclass(frozen=True)
-class JointState:
-    """Pure qubit (x) oscillator state of length 2N: (down block, up block)."""
-
-    space: fock.FockSpace
-    amps: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=complex)
-        if amps.shape != (2 * self.space.dim,):
-            raise DimensionMismatchError(
-                f"joint vector of length {amps.shape} does not match 2x{self.space.dim}"
-            )
-        object.__setattr__(self, "amps", amps)
-
-    @classmethod
-    def from_motional(cls, state, spin="down"):
-        amps = np.zeros(2 * state.space.dim, dtype=complex)
-        if spin == "down":
-            amps[: state.space.dim] = state.amps
-        elif spin == "up":
-            amps[state.space.dim :] = state.amps
-        else:
-            raise ValueError("spin must be 'down' or 'up'")
-        return cls(state.space, amps)
-
-    @property
-    def norm(self):
-        return float(np.linalg.norm(self.amps))
-
-    @property
-    def p_down(self):
-        return float(np.sum(np.abs(self.amps[: self.space.dim]) ** 2))
-
-    @property
-    def p_up(self):
-        return float(np.sum(np.abs(self.amps[self.space.dim :]) ** 2))
-
-    def motional_populations(self):
-        d = self.space.dim
-        return np.abs(self.amps[:d]) ** 2 + np.abs(self.amps[d:]) ** 2
-
-    def tail_mass(self, levels=fock.TAIL_LEVELS):
-        return float(np.sum(self.motional_populations()[-levels:]))
-
-    def check_tail(self, eps=fock.DEFAULT_TAIL_EPS):
-        return fock._checked_tail(self.tail_mass(), eps, self.space.dim)
 
 
 def sideband_hamiltonian(kind, rabi, phase, space):
@@ -213,11 +162,11 @@ def psrsb_exact_pdown(alpha, phi, space, beatnote=0.0):
     """
     mag = abs(alpha)
     disp = gaussian.Displacement(mag * np.exp(1j * beatnote))
-    motional = gaussian.coherent_state(disp, space)
-    amps = JointState.from_motional(motional, "down").amps
+    amps = np.zeros(2 * space.dim, dtype=complex)
+    amps[: space.dim] = gaussian.coherent_state(disp, space).amps
     amps = u_sideband("rsb", 1.0, math.pi, 0.0, space) @ amps
     amps = u_sideband("carrier", 1.0, 0.5 * math.pi, phi, space) @ amps
-    return JointState(space, amps).p_down
+    return float(np.sum(np.abs(amps[: space.dim]) ** 2))
 
 
 def psrsb_contrast(alpha, space=None):

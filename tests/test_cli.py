@@ -114,6 +114,8 @@ class TestFitCommand:
         ("20,nan,300\n", "row 1 "),
         ("20,0.4,300\n40,1.7,300\n", "row 2 "),
         ("20,0.4,300\nnan,0.5,300\n", "times must be finite"),
+        ("20,0.4,300\n40,0.4\n", "row 2 "),
+        ("20,0.4,300\n40,abc,300\n", "row 2 "),
     ])
     def test_unusable_trace_is_runtime_error(self, tmp_path, capsys, rows, message):
         path = tmp_path / "trace.csv"
@@ -273,6 +275,12 @@ class TestErrorHandling:
         ("gain-curve", "squeeze_r_list", "0.5,inf"),
         # |alpha_f| = 0.2 e^1000: the coherent model's populations underflow
         ("gain-curve", "squeeze_r_list", "1,1000"),
+        ("squeeze-phase-scan", "squeeze_r_list", ""),
+        ("gain-curve", "squeeze_r_list", ""),
+        ("rwa-check", "rwa_ratio_list", ""),
+        # the noisy lab density holds the frame state (frame_truncation 48);
+        # the second line turns the noise back on
+        ("sensitivity", "lab_truncation", "16\nheating_quanta_per_s = 20"),
     ])
     def test_unusable_sweep_key_is_config_error(self, tmp_path, capsys, command, key,
                                                 value):

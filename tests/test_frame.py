@@ -114,7 +114,7 @@ class TestLargeSqueezing:
         seq = PulseSequence([Segment("parametric", 1.0 / G, 0.0, G)])
         res = run_gaussian_sequence_frame(seq, NoiseParams.none(), FockSpace(8))
         with pytest.raises(ValueError):
-            res.lab_density()
+            res.lab_density(FockSpace(64))
 
 
 class TestDensityFringe:
@@ -350,17 +350,17 @@ class _RecordedRuns:
         return self.step_run(rho, base_map, segment, noise, n_steps)
 
 
-def _one_level_doubling(run, tol, min_steps, max_steps, engine, kind=None):
+def _one_level_doubling(run, max_steps, engine, kind=None):
     """The step controller with one Richardson level: pairs extrapolate to
-    R(n) = (4 S(2n) - S(n)) / 3, and R(2n) is accepted once within `tol` of
-    R(n) (oracle)."""
-    n_steps = min_steps
+    R(n) = (4 S(2n) - S(n)) / 3, and R(2n) is accepted once within
+    `lindblad._TOL` of R(n) (oracle)."""
+    n_steps = lindblad._MIN_STEPS
     coarse, previous = run(n_steps), None
     while n_steps < max_steps:
         n_steps *= 2
         fine = run(n_steps)
         extrapolated = (4 * fine - coarse) / 3
-        if previous is not None and trace_distance(previous, extrapolated) < tol:
+        if previous is not None and trace_distance(previous, extrapolated) < lindblad._TOL:
             return extrapolated
         coarse, previous = fine, extrapolated
     raise ConvergenceError(f"not converged after {n_steps} steps")
@@ -440,23 +440,13 @@ class TestExtrapolatedDoubling:
                                                     monkeypatch):
         runs = _RecordedRuns()
         monkeypatch.setattr(frame, "_segment_step_run", runs)
+        monkeypatch.setattr(lindblad, "_TOL", 1e-30)
+        monkeypatch.setattr(frame, "_MAX_STEPS", 4 * 2**max_doublings)
         segment = Segment("parametric", 0.3 / G, 0.0, G)
         with pytest.raises(ConvergenceError, match=f"after {expect[-1]} steps"):
-            evolve_frame_segment(_ground(16), FrameMap(), segment, SENSITIVITY_NOISE,
-                                 tol=1e-30, max_doublings=max_doublings)
+            evolve_frame_segment(_ground(16), FrameMap(), segment, SENSITIVITY_NOISE)
         # each run feeds two extrapolations, so no step count is run twice
         assert runs.log == expect
-
-    @pytest.mark.parametrize("min_steps, max_doublings", [(4, 1), (4, 0), (0, 11)])
-    def test_schedule_without_one_check_is_value_error(self, min_steps, max_doublings,
-                                                       monkeypatch):
-        runs = _RecordedRuns()
-        monkeypatch.setattr(frame, "_segment_step_run", runs)
-        segment = Segment("parametric", 0.3 / G, 0.0, G)
-        with pytest.raises(ValueError):
-            evolve_frame_segment(_ground(8), FrameMap(), segment, SENSITIVITY_NOISE,
-                                 min_steps=min_steps, max_doublings=max_doublings)
-        assert runs.log == []
 
     def test_logs_one_debug_record_per_converged_segment(self, caplog, monkeypatch):
         runs = _RecordedRuns()
@@ -464,7 +454,7 @@ class TestExtrapolatedDoubling:
         seq = amplification_sequence(0.005, G * 2e-6, G, 5e-6)
         with caplog.at_level(logging.DEBUG, logger=lindblad.__name__):
             run_gaussian_sequence_frame(seq, SENSITIVITY_NOISE, space=FockSpace(12))
-        # a segment's runs start again at min_steps = 4
+        # a segment's runs start again at lindblad._MIN_STEPS = 4
         starts = [i for i, n in enumerate(runs.log) if n == 4] + [len(runs.log)]
         per_segment = [runs.log[i:j] for i, j in zip(starts, starts[1:])]
         records = [r for r in caplog.records if r.name == lindblad.__name__]

@@ -8,7 +8,6 @@ import pytest
 from squeezeamp import (
     Displacement,
     FockSpace,
-    MotionalState,
     SqueezeParam,
     coherent_state,
     ladder_lowering,
@@ -20,6 +19,7 @@ from squeezeamp import lindblad
 from squeezeamp.errors import ConfigError, ConvergenceError, TruncationError
 from squeezeamp.fock import DensityOperator, hermitian_propagator
 from squeezeamp.lindblad import (
+    MOTIONAL_KINDS,
     NoiseParams,
     PulseSequence,
     Segment,
@@ -30,23 +30,34 @@ from squeezeamp.lindblad import (
     extrapolated_doubling,
     lindblad_evolve,
     run_sequence,
-    segment_hamiltonian,
     trace_distance,
 )
-from squeezeamp.spinmotion import JointState
+from squeezeamp.spinmotion import sideband_hamiltonian
 
 G_PAPER = 2 * math.pi * 50.2e3
 
 
+def joint_hamiltonian(segment, space):
+    """Joint-space (2N x 2N) Hamiltonian of one segment: a motional drive
+    tensored with the qubit identity, zero for `free` (oracle for the
+    block path of run_sequence)."""
+    if segment.kind not in MOTIONAL_KINDS:
+        return sideband_hamiltonian(segment.kind, segment.strength, segment.phase, space)
+    h_mot = _motional_hamiltonian(segment, space)
+    if h_mot is None:
+        h_mot = np.zeros((space.dim, space.dim), dtype=complex)
+    return np.kron(np.eye(2), h_mot)
+
+
 def run_sequence_pure(seq, initial):
-    """Noiseless unitary path on a pure JointState (oracle for run_sequence)."""
-    if isinstance(initial, MotionalState):
-        initial = JointState.from_motional(initial, "down")
-    amps = initial.amps
+    """Noiseless unitary path of a MotionalState with the qubit in |down>:
+    the joint vector (down block, up block) (oracle for run_sequence)."""
+    space = initial.space
+    amps = np.concatenate([initial.amps, np.zeros(space.dim)])
     for segment in seq.segments:
-        H = segment_hamiltonian(segment, initial.space)
+        H = joint_hamiltonian(segment, space)
         amps = hermitian_propagator(H, segment.duration) @ amps
-    return JointState(initial.space, amps)
+    return amps
 
 
 def dense_dissipator(rho, dim, joint, noise):
@@ -132,30 +143,31 @@ class TestSegmentHamiltonians:
         seg = Segment("displace", 5e-6, 0.4, 0.3 / 5e-6)
         out = run_sequence_pure(PulseSequence([seg]), vacuum(sp))
         ref = coherent_state(Displacement(0.3 * np.exp(0.4j)), sp)
-        assert np.max(np.abs(out.amps[:64] - ref.amps)) < 1e-10
+        assert np.max(np.abs(out[:64] - ref.amps)) < 1e-10
 
     def test_parametric_gives_squeezed_vacuum(self):
         sp = FockSpace(96)
         seg = Segment("parametric", 8e-6, 0.7, 1.0 / 8e-6)
         out = run_sequence_pure(PulseSequence([seg]), vacuum(sp))
         ref = squeezed_vacuum(SqueezeParam(1.0, 0.7), sp)
-        assert np.max(np.abs(np.abs(out.amps[:96]) ** 2 - ref.populations())) < 1e-10
+        assert np.max(np.abs(np.abs(out[:96]) ** 2 - ref.populations())) < 1e-10
 
     def test_free_is_identity(self):
         sp = FockSpace(16)
-        H = segment_hamiltonian(Segment("free", 1e-6), sp)
+        H = joint_hamiltonian(Segment("free", 1e-6), sp)
         assert np.all(H == 0)
 
     def test_carrier_pi_flips_spin(self):
         sp = FockSpace(8)
         seg = Segment("carrier", 1e-6, 0.0, math.pi / 1e-6)
         out = run_sequence_pure(PulseSequence([seg]), vacuum(sp))
-        assert out.p_up == pytest.approx(1.0, abs=1e-10)
+        p_up = float(np.sum(np.abs(out[sp.dim:]) ** 2))
+        assert p_up == pytest.approx(1.0, abs=1e-10)
 
     def test_all_hermitian(self):
         sp = FockSpace(12)
         for kind in ("displace", "parametric", "rsb", "bsb", "carrier", "free"):
-            H = segment_hamiltonian(Segment(kind, 1e-6, 0.9, 1e4), sp)
+            H = joint_hamiltonian(Segment(kind, 1e-6, 0.9, 1e4), sp)
             assert np.max(np.abs(H - H.conj().T)) < 1e-9
 
 
@@ -198,7 +210,7 @@ class TestLindbladEvolve:
     def test_trace_hermiticity_positivity(self):
         sp = FockSpace(32)
         seg = Segment("displace", 5e-6, 0.0, 0.5 / 5e-6)
-        H = segment_hamiltonian(seg, sp)[:32, :32]
+        H = _motional_hamiltonian(seg, sp)
         rho = DensityOperator.from_motional(vacuum(sp))
         out = lindblad_evolve(rho, H, NoiseParams(), 5e-6)
         assert out.trace.real == pytest.approx(1.0, abs=1e-8)
@@ -210,7 +222,7 @@ class TestLindbladEvolve:
         sp = FockSpace(32)
         t = 5e-6
         seg = Segment("displace", t, 0.0, 0.3 / t)
-        H = segment_hamiltonian(seg, sp)[:32, :32]
+        H = _motional_hamiltonian(seg, sp)
         rho = DensityOperator.from_motional(vacuum(sp))
         out = lindblad_evolve(rho, H, NoiseParams(0.0, 18.0), t)
         a_mean = abs(out.expectation_value(ladder_lowering(sp)))
@@ -255,7 +267,7 @@ class TestRunSequence:
         )
         dens = run_sequence(seq, NoiseParams.none(), vacuum(sp))
         pure = run_sequence_pure(seq, vacuum(sp))
-        ref = np.outer(pure.amps, pure.amps.conj())
+        ref = np.outer(pure, pure.conj())
         assert np.max(np.abs(dens.matrix - ref)) < 1e-8
 
     def test_noisy_amplification_loses_contrast(self):
@@ -275,7 +287,7 @@ class TestRunSequence:
         ideal = alpha_i * math.exp(0.5)
         pure = run_sequence_pure(seq, vacuum(sp))
         a_joint = np.kron(np.eye(2), ladder_lowering(sp))
-        a_pure = abs(np.vdot(pure.amps, a_joint @ pure.amps))
+        a_pure = abs(np.vdot(pure, a_joint @ pure))
         assert a_pure == pytest.approx(ideal, rel=1e-6)
         out = run_sequence(seq, NoiseParams(), vacuum(sp))
         a_noisy = abs(out.expectation_value(a_joint))
@@ -287,7 +299,7 @@ class TestRunSequence:
         sp = FockSpace(32)
         motion = coherent_state(Displacement(0.3), sp).amps
         amps = np.concatenate([motion, 1j * motion]) / math.sqrt(2)
-        initial = JointState(sp, amps)
+        initial = DensityOperator(sp, np.outer(amps, amps.conj()), "joint")
         seq = PulseSequence(
             [
                 Segment("parametric", 0.5 / G_PAPER, 0.0, G_PAPER),
@@ -297,9 +309,9 @@ class TestRunSequence:
         )
         noise = NoiseParams()
         out = run_sequence(seq, noise, initial)
-        ref = DensityOperator.from_joint(initial)
+        ref = initial
         for segment in seq.segments:
-            H = segment_hamiltonian(segment, sp)
+            H = joint_hamiltonian(segment, sp)
             ref = lindblad_evolve(ref, H, noise, segment.duration)
         assert np.any(out.matrix[:32, 32:]) and np.any(out.matrix[32:, :32])
         assert np.max(np.abs(out.matrix - ref.matrix)) < 1e-10
@@ -307,9 +319,8 @@ class TestRunSequence:
     def test_quiet_free_segment_is_identity(self):
         sp = FockSpace(16)
         motion = coherent_state(Displacement(0.5), sp).amps
-        initial = DensityOperator.from_joint(
-            JointState(sp, np.concatenate([motion, motion]) / math.sqrt(2))
-        )
+        amps = np.concatenate([motion, motion]) / math.sqrt(2)
+        initial = DensityOperator(sp, np.outer(amps, amps.conj()), "joint")
         seq = PulseSequence([Segment("free", 1e-3)])
         out = run_sequence(seq, NoiseParams.none(), initial)
         assert np.array_equal(out.matrix, initial.matrix)
@@ -388,7 +399,7 @@ def _synthetic_run(n_steps):
 class TestRombergTable:
     def test_cancels_every_even_order_of_a_synthetic_run(self, caplog):
         with caplog.at_level(logging.DEBUG, logger=lindblad.__name__):
-            got = extrapolated_doubling(_synthetic_run, 1e-7, 4, 4096, "synthetic")
+            got = extrapolated_doubling(_synthetic_run, 4096, "synthetic")
         (record,) = [r for r in caplog.records if r.name == lindblad.__name__]
         # four runs cancel dt^2 ... dt^6; the fifth confirms it
         assert record.steps == (4, 8, 16, 32, 64)
@@ -409,7 +420,7 @@ class TestRombergTable:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConvergenceError, match="frame parametric run of 16 steps"):
-                extrapolated_doubling(run, 1e-7, 4, 4096, "frame", "parametric")
+                extrapolated_doubling(run, 4096, "frame", "parametric")
         assert log == [4, 8, 16]
 
     def test_nan_run_raises_at_once(self):
@@ -421,7 +432,7 @@ class TestRombergTable:
             return np.full_like(out, np.nan) if n_steps == 8 else out
 
         with pytest.raises(ConvergenceError, match="frame displace run of 8 steps is not finite"):
-            extrapolated_doubling(run, 1e-7, 4, 4096, "frame", "displace")
+            extrapolated_doubling(run, 4096, "frame", "displace")
         assert log == [4, 8]
 
 
@@ -437,9 +448,11 @@ class TestExtrapolatedDoubling:
         assert 12 < d[0] / d[1] < 20
 
     def test_sequence_near_tight_run_and_closer_than_plain_doubling(self, monkeypatch):
-        initial = JointState.from_motional(vacuum(FockSpace(40)), "down")
+        initial = vacuum(FockSpace(40))
         noise = NoiseParams()
-        tight = run_sequence(DENSE_SEQUENCE, noise, initial, tol=1e-12).matrix
+        with monkeypatch.context() as patch:
+            patch.setattr(lindblad, "_TOL", 1e-12)
+            tight = run_sequence(DENSE_SEQUENCE, noise, initial).matrix
         got = run_sequence(DENSE_SEQUENCE, noise, initial).matrix
         monkeypatch.setattr(lindblad, "lindblad_evolve", _plain_doubling_evolve)
         plain = run_sequence(DENSE_SEQUENCE, noise, initial).matrix
@@ -455,10 +468,11 @@ class TestExtrapolatedDoubling:
                                                  monkeypatch):
         runs = _RecordedStrang()
         monkeypatch.setattr(lindblad, "_strang_run", runs)
+        monkeypatch.setattr(lindblad, "_TOL", 1e-30)
+        monkeypatch.setattr(lindblad, "_MAX_DOUBLINGS", max_doublings)
         rho, H = _squeeze_block(6, t)
         with pytest.raises(ConvergenceError, match=f"after {expect[-1]} steps"):
-            lindblad_evolve(rho, H, NoiseParams(), t, tol=1e-30,
-                            max_doublings=max_doublings)
+            lindblad_evolve(rho, H, NoiseParams(), t)
         # each run feeds two extrapolations, so no step count is run twice
         assert runs.log == expect
 
