@@ -25,7 +25,7 @@ from .experiments import (
     run_squeeze_phase_scan,
     run_unitarity_check,
 )
-from .fitting import RabiTrace, fit_state_model
+from .fitting import _MODEL_PARAMS, RabiTrace, fit_state_model
 from .lindblad import PulseSequence, run_sequence
 
 _log = logging.getLogger(__name__)
@@ -165,7 +165,7 @@ def build_parser():
     fit.add_argument("--gamma", type=float, default=60.0,
                      help="starting decay constant (1/s)")
     fit.add_argument("--init", action="append", default=[],
-                     metavar="NAME=VALUE", help="starting state parameter")
+                     metavar="NAME=VALUE", help="starting value of a state parameter of the model")
 
     sim = sub.add_parser("simulate", help="run a pulse-sequence file with noise")
     sim.add_argument("--sequence", required=True,
@@ -189,10 +189,10 @@ def _cmd_fit(args):
             raise ValueError(f"--init expects NAME=VALUE, got {item!r}")
         name = name.strip()
         key = f"--init {name}"
-        if name not in init:
-            raise ConfigError(f"unknown start parameter {name!r}", key=key)
-        least = 0.0 if name == "omega" else None
-        init[name] = _check_flag(key, float(value), least, strict=True)
+        if name not in _MODEL_PARAMS[args.model]:
+            raise ConfigError(f"--init takes the {args.model} model's parameters "
+                              f"{', '.join(_MODEL_PARAMS[args.model])}, not {name!r}", key=key)
+        init[name] = _check_flag(key, float(value))
     result = fit_state_model(trace, args.model, init)
     sys.stdout.write(result.to_json())
     return EXIT_OK

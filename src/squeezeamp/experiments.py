@@ -528,9 +528,7 @@ def run_rwa_check(cfg):
     for ratio in cfg["rwa_ratio_list"]:
         g = ratio * cfg.omega_r
         gt = cfg["rwa_gt"]
-        params = DriveParams(
-            omega_r=cfg.omega_r, omega_p=2 * cfg.omega_r, g=g, duration=gt / g
-        )
+        params = DriveParams(omega_r=cfg.omega_r, g=g, duration=gt / g)
         spp = max(64, int(math.ceil(2560 * ratio)))
         fid, r_eff = simulate_full_vs_rwa(params, steps_per_period=spp)
         rows.append({

@@ -34,6 +34,9 @@ _P_FLOOR = 1e-3
 #: with D the column norms of J: the low end of the documented (0.1, 100).
 _LM_STEP_FACTOR = 0.1
 
+#: Seed of the random perturbations that make `fit_state_model`'s later starts.
+_START_SEED = 0
+
 
 @dataclass(frozen=True)
 class RabiTrace:
@@ -321,7 +324,7 @@ class TraceResiduals:
         return np.hstack(cols) / self.sigma[:, None]
 
 
-def fit_state_model(trace, model, init, nmax=None, n_starts=5, seed=0):
+def fit_state_model(trace, model, init, nmax=None, n_starts=5):
     """Nonlinear least-squares fit of a parameterized state to a Rabi trace.
 
     `init` maps parameter names to finite starting values and must include
@@ -350,7 +353,7 @@ def fit_state_model(trace, model, init, nmax=None, n_starts=5, seed=0):
     residuals = TraceResiduals(trace, model, init, nmax)
     nyquist_check(trace.times, init["omega"] * 1.2, nmax)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_START_SEED)
     x0 = residuals.x0
     best = None
     failures = []

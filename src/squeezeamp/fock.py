@@ -46,10 +46,6 @@ def number_operator(space):
     return np.diag(np.arange(space.dim).astype(complex))
 
 
-def identity(space):
-    return np.eye(space.dim, dtype=complex)
-
-
 def default_truncation(r=0.0, alpha_abs=0.0):
     """Fock-space size adequate for squeezing r and displacement |alpha|.
 
@@ -155,10 +151,6 @@ class DensityOperator:
 
     def min_eigenvalue(self):
         return float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T)).min())
-
-    def populations(self):
-        """Diagonal in the Fock basis (motional) or the full 2N basis (joint)."""
-        return np.real(np.diag(self.matrix)).copy()
 
     def motional_populations(self):
         """Fock populations, tracing out the qubit if present."""

@@ -65,6 +65,7 @@ import math
 import numpy as np
 
 from . import fock, gaussian, lindblad
+from .errors import DimensionMismatchError
 from .gaussian import FrameMap
 
 #: Steps whose rho-independent work (maps, matrices, eigendecompositions) is
@@ -197,6 +198,10 @@ class FrameResult:
         then V = D(c) e^{-i lambda n} with e^{-i lambda} = mu, and both
         factors are applied densely on `lab_space`, which must hold the frame space.
         """
+        if lab_space.dim < self.space.dim:
+            raise DimensionMismatchError(
+                f"lab space of {lab_space.dim} levels cannot hold the "
+                f"{self.space.dim}-level frame state")
         if self.fmap.squeeze_magnitude > SQUEEZE_RESIDUAL_TOL:
             raise ValueError(
                 "total sequence map still contains squeezing "

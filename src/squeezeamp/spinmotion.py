@@ -83,68 +83,40 @@ def _rsb_pi_weights(n):
     return cos_n**2, cos_n * np.sin(0.5 * math.pi * np.sqrt(n + 1))
 
 
-#: ln n! - (n + 1/2) ln n + n - ln(2 pi)/2 for n = 1..15 (Loader's table,
-#: to double precision); the entry at n = 0 is unused.
-_STIRLERR_SMALL = np.array([
-    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
-    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
-    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
-    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
-    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
-])
-
-
-def _stirlerr(n):
-    """Error of Stirling's formula, ln n! - (n + 1/2) ln n + n - ln(2 pi)/2,
-    at integers n >= 1: the table up to 15, its asymptotic series above."""
-    big = np.maximum(n, 16).astype(float)
-    inv2 = 1.0 / (big * big)
-    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - inv2 / 1188) * inv2) * inv2) * inv2) / big
-    return np.where(n < 16, _STIRLERR_SMALL[np.minimum(n, 15)], series)
-
-
-def _bd0(x, m):
-    """Deviance term x ln(x/m) + m - x, by its series in v = (x - m)/(x + m)
-    where |v| < 0.1, so that no terms of size x cancel near x = m."""
-    with np.errstate(divide="ignore"):  # m underflows to 0 below |alpha| ~ 1e-162
-        direct = x * np.log(x / m) + m - x
-    v = (x - m) / (x + m)
-    series, odd = (x - m) * v, 2 * x * v
-    for j in range(1, 9):  # the terms fall by v^2 < 0.01 each
-        odd = odd * v * v
-        series = series + odd / (2 * j + 1)
-    return np.where(np.abs(v) < 0.1, series, direct)
-
-
-def _poisson_pmf(n, mean):
-    """e^-mean mean^n / n! at integers n >= 0, in Loader's saddle-point form
-    exp(-stirlerr(n) - bd0(n, mean)) / sqrt(2 pi n): good to a few ulp at
-    any mean, where the direct form loses ~mean ulp to cancellation."""
-    pos = np.maximum(n, 1).astype(float)
-    saddle = np.exp(-_stirlerr(n) - _bd0(pos, mean)) / np.sqrt(2 * math.pi * pos)
-    return np.where(n == 0, math.exp(-mean), saddle)
+#: Levels `f_alpha`'s window reaches past |a|^2 + 10 sqrt(|a|^2 + 1): they hold the heavy
+#: upper tail of small means, so no more than 6e-18 of the Poisson mass is left out.
+_F_ALPHA_TOP_MARGIN = 5
 
 
 def f_alpha(alpha_abs):
     """Fringe-amplitude reduction factor of the exact PSRSB signal.
 
     f(|a|) = sum_n e^{-|a|^2} |a|^{2n}/n! cos(pi sqrt(n)/2) sin(pi sqrt(n+1)/2)/sqrt(n+1),
-    summed over the Poisson window |a|^2 +- 10 sqrt(|a|^2 + 1), and at least
-    over n < 30.  Raises ValueError where that window holds more than
-    `_F_ALPHA_MAX_TERMS` terms.
+    summed from n = |a|^2 - 10 sqrt(|a|^2 + 1) up to the larger of 30 and
+    |a|^2 + 10 sqrt(|a|^2 + 1), plus `_F_ALPHA_TOP_MARGIN` levels.  The
+    Poisson weights come from their ratio recurrence on both sides of the
+    mode, so none exceeds 1, and are normalized over that window.  Raises
+    ValueError where the window holds more than `_F_ALPHA_MAX_TERMS` terms.
     """
     alpha_abs = abs(alpha_abs)
     if alpha_abs == 0:
         return 1.0
     mean = alpha_abs**2
     half = 10 * math.sqrt(mean + 1)
-    lo, hi = max(0, math.floor(mean - half)), max(30, math.ceil(mean + half))
+    lo = max(0, math.floor(mean - half))
+    hi = max(30, math.ceil(mean + half)) + _F_ALPHA_TOP_MARGIN
     if hi - lo > _F_ALPHA_MAX_TERMS:
         raise ValueError(
             f"f_alpha at |alpha| = {alpha_abs:.4g} needs {hi - lo} Poisson terms, "
             f"more than the {_F_ALPHA_MAX_TERMS} it sums")
     n = np.arange(lo, hi)
-    return float(np.sum(_poisson_pmf(n, mean) * _rsb_pi_weights(n)[1] / np.sqrt(n + 1)))
+    mode = math.floor(mean) - lo
+    # w_n / w_mode: up by w_{n+1} = w_n mean/(n+1), down by w_{n-1} = w_n n/mean
+    up = np.cumprod(mean / n[mode + 1:])
+    down = np.cumprod(n[mode:0:-1] / mean)[::-1]
+    weights = np.concatenate([down, [1.0], up])
+    terms = weights * _rsb_pi_weights(n)[1] / np.sqrt(n + 1)
+    return float(np.sum(terms) / np.sum(weights))
 
 
 def psrsb_pdown_series(alpha, phi):
@@ -169,11 +141,9 @@ def psrsb_exact_pdown(alpha, phi, space, beatnote=0.0):
     return float(np.sum(np.abs(amps[: space.dim]) ** 2))
 
 
-def psrsb_contrast(alpha, space=None):
+def psrsb_contrast(alpha):
     """Fringe contrast C = P_down(pi) - P_down(0) = 2 |alpha| f(|alpha|)."""
-    if space is None:
-        return 2.0 * abs(alpha) * f_alpha(abs(alpha))
-    return psrsb_exact_pdown(alpha, math.pi, space) - psrsb_exact_pdown(alpha, 0.0, space)
+    return 2.0 * abs(alpha) * f_alpha(abs(alpha))
 
 
 def rsb_readout(rho):

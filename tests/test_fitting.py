@@ -357,13 +357,13 @@ class TestStateModelFits:
                 assert err < 1e-6, (model, x, err)
 
 
-def _least_squares_fit_norm(trace, model, init, n_starts=5, seed=0):
+def _least_squares_fit_norm(trace, model, init, n_starts=5):
     """Best residual norm of the same multi-start fit run through
     scipy.optimize.least_squares(method="lm"): MINPACK lmder with the
     column-norm scaling, the tolerances and the starts of `fit_state_model`,
     but with its first step bounded by 100 ||D x||."""
     res = TraceResiduals(trace, model, init, fitting._default_nmax(model, init))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(fitting._START_SEED)
     best = math.inf
     for start in range(n_starts):
         if start == 0:

@@ -16,7 +16,7 @@ from squeezeamp import (
     vacuum,
 )
 from squeezeamp import frame, gaussian, lindblad
-from squeezeamp.errors import ConvergenceError
+from squeezeamp.errors import ConvergenceError, DimensionMismatchError
 from squeezeamp.fock import DensityOperator
 from squeezeamp.frame import (
     FrameMap,
@@ -75,6 +75,12 @@ class TestNoiselessPath:
         rho = res.lab_density(FockSpace(64))
         ref = coherent_state(Displacement(0.1 * math.e), FockSpace(64))
         assert np.max(np.abs(rho.matrix - np.outer(ref.amps, ref.amps.conj()))) < 1e-10
+
+    def test_lab_density_refuses_a_smaller_lab_space(self):
+        seq = amplification_sequence(0.1, 1.0, G)
+        res = run_gaussian_sequence_frame(seq, NoiseParams.none(), FockSpace(48))
+        with pytest.raises(DimensionMismatchError, match="16 levels.*48-level"):
+            res.lab_density(FockSpace(16))
 
 
 class TestDenseCrossValidation:

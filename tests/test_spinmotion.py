@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from squeezeamp import Displacement, FockSpace, SqueezeParam, coherent_state, squeezed_vacuum
 from squeezeamp.fock import DensityOperator
 from squeezeamp.spinmotion import (
-    _poisson_pmf,
+    _F_ALPHA_TOP_MARGIN,
     _rsb_pi_weights,
     bsb_signal,
     f_alpha,
@@ -23,6 +24,27 @@ SP = FockSpace(64)
 #: The carrier acts as the identity on the oscillator, so its 2x2 rotation
 #: is read off the smallest space.
 SP2 = FockSpace(2)
+
+
+def poisson_weights(n, mean):
+    """Poisson weights at the consecutive levels `n`, relative to the one at
+    floor(mean), by the ratio recurrence w_{k+1} = w_k mean/(k+1)."""
+    mode = math.floor(mean) - n[0]
+    up = np.cumprod(mean / n[mode + 1:])
+    down = np.cumprod(n[mode:0:-1] / mean)[::-1]
+    return np.concatenate([down, [1.0], up])
+
+
+def forty_digit_f_alpha(a, levels):
+    """f(|a|) summed over `levels` with 40-digit Poisson weights and phases."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    mean = mp.mpf(a) ** 2
+    return mp.fsum(
+        mp.exp(-mean + n * mp.log(mean) - mp.loggamma(n + 1))
+        * mp.cos(mp.pi * mp.sqrt(n) / 2) * mp.sin(mp.pi * mp.sqrt(n + 1) / 2) / mp.sqrt(n + 1)
+        for n in levels)
 
 
 def down_fock(space, n=0):
@@ -161,27 +183,37 @@ class TestFAlpha:
     @pytest.mark.parametrize("a", [5.0, 30.0, 100.0, 300.0])
     def test_poisson_window_matches_the_full_sum(self, a):
         # the reference sums twice the window's half-width from n = 0, with
-        # the same weights, which test_matches_a_40_digit_sum covers
+        # the same normalized weights, which test_matches_a_40_digit_sum covers
         mean = a * a
         n = np.arange(int(mean + 20 * math.sqrt(mean + 1)) + 31)
-        full = float(np.sum(_poisson_pmf(n, mean) * _rsb_pi_weights(n)[1] / np.sqrt(n + 1)))
+        weights = poisson_weights(n, mean)
+        full = float(np.sum(weights * _rsb_pi_weights(n)[1] / np.sqrt(n + 1)) / np.sum(weights))
         assert f_alpha(a) == pytest.approx(full, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("a, bound", [(0.3, 1e-13), (5.0, 1e-13), (30.0, 1e-13),
                                           (100.0, 2e-12), (300.0, 1e-11)])
     def test_matches_a_40_digit_sum(self, a, bound):
         # the same window, summed with 40-digit Poisson weights and phases
-        mpmath = pytest.importorskip("mpmath")
-        mp = mpmath.mp.clone()
-        mp.dps = 40
-        mean = mp.mpf(a) ** 2
         half = 10 * math.sqrt(a * a + 1)
-        lo, hi = max(0, math.floor(a * a - half)), max(30, math.ceil(a * a + half))
-        want = mp.fsum(
-            mp.exp(-mean + n * mp.log(mean) - mp.loggamma(n + 1))
-            * mp.cos(mp.pi * mp.sqrt(n) / 2) * mp.sin(mp.pi * mp.sqrt(n + 1) / 2) / mp.sqrt(n + 1)
-            for n in range(lo, hi))
-        assert abs(f_alpha(a) - float(want)) <= bound * abs(float(want))
+        lo = max(0, math.floor(a * a - half))
+        hi = max(30, math.ceil(a * a + half)) + _F_ALPHA_TOP_MARGIN
+        want = float(forty_digit_f_alpha(a, range(lo, hi)))
+        assert abs(f_alpha(a) - want) <= bound * abs(want)
+
+    @pytest.mark.parametrize("a", [2.26, 2.272])
+    def test_keeps_the_heavy_upper_tail(self, a):
+        # at |a|^2 ~ 5 the Poisson mass above |a|^2 + 10 sqrt(|a|^2 + 1)
+        # reaches 6e-14; the reference sums +-40 sigma
+        half = 40 * math.sqrt(a * a + 1)
+        want = float(forty_digit_f_alpha(a, range(max(0, math.floor(a * a - half)),
+                                                  math.ceil(a * a + half))))
+        assert abs(f_alpha(a) - want) <= 2e-15 * abs(want)
+
+    def test_tiny_alpha_is_one_without_warnings(self):
+        # |a|^2 is subnormal here; no weight is divided by it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert f_alpha(1e-160) == 1.0
 
     def test_term_budget(self):
         # the window at |a| = 1e5 holds 2e6 terms
@@ -215,9 +247,8 @@ class TestPsrsb:
     def test_contrast_matches_series(self):
         assert psrsb_contrast(0.0550) == pytest.approx(2 * 0.0550 * f_alpha(0.0550), rel=1e-12)
         assert psrsb_contrast(0.0550) == pytest.approx(0.1097, abs=5e-4)
-        assert psrsb_contrast(0.3, FockSpace(64)) == pytest.approx(
-            psrsb_contrast(0.3), abs=1e-9
-        )
+        dense = psrsb_exact_pdown(0.3, math.pi, SP) - psrsb_exact_pdown(0.3, 0.0, SP)
+        assert dense == pytest.approx(psrsb_contrast(0.3), abs=1e-9)
 
     def test_contrast_small_alpha_limit(self):
         # |C - 2 alpha| bounded by k alpha^3
