@@ -302,12 +302,12 @@ class TestErrorHandling:
         (["fit", "--model", "coherent", "--gamma", "nan"], "--gamma"),
         (["fit", "--model", "coherent", "--gamma", "inf"], "--gamma"),
         (["fit", "--model", "coherent", "--init", "beta=1"], "--init beta"),
-        (["fit", "--model", "coherent", "--init", "r=2"], "--init r"),
-        (["fit", "--model", "coherent", "--init", "omega=7000"], "--init omega"),
-        (["fit", "--model", "squeezed", "--init", "alpha=1"], "--init alpha"),
         (["squeeze-phase-scan", "--r", "inf"], "--r"),
         (["phase-scan", "--r", "nan"], "--r"),
         (["phase-scan", "--r", "-1"], "--r"),
+        (["fit", "--model", "coherent", "--init", "r=2"], "--init r"),
+        (["fit", "--model", "coherent", "--init", "omega=7000"], "--init omega"),
+        (["fit", "--model", "squeezed", "--init", "alpha=1"], "--init alpha"),
     ])
     def test_unusable_flag_is_config_error(self, tmp_path, capsys, argv, key):
         if argv[0] == "fit":
