@@ -197,8 +197,9 @@ def hermiticity_defect(m):
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-def hermitian_propagator(H, t):
-    """U = exp(-i H t) for Hermitian H, via eigendecomposition."""
+def hermitian_eigh(H):
+    """The eigendecomposition (w, v) of a Hermitian H; ValueError where
+    max |H - H†| exceeds 1e-9 max(1, max |H|)."""
     defect = hermiticity_defect(H)
     scale = max(1.0, float(np.max(np.abs(H))))
     if defect > 1e-9 * scale:
@@ -208,6 +209,12 @@ def hermitian_propagator(H, t):
     # lets the idle pool's spinning threads take the cores.  The CLI runs
     # both pools at one thread, so this matters where a thread variable
     # overrides that, and in programs that import the library.
-    w, v = np.linalg.eigh(H)
+    return np.linalg.eigh(H)
+
+
+def hermitian_propagator(H, t):
+    """U = exp(-i H t) for Hermitian H, from the checked eigendecomposition
+    of `hermitian_eigh`."""
+    w, v = hermitian_eigh(H)
     phases = np.exp(-1j * w * t)
     return (v * phases) @ v.conj().T

@@ -51,7 +51,7 @@ Every substep is an exact completely positive map, so rho stays positive at
 any dt, and every step is exactly symmetric (the generator is frozen at the
 step midpoint and the split is a palindrome), as
 `lindblad.extrapolated_doubling`, the step controller both noisy engines
-share, requires: its Romberg table over runs at 4, 8, 16, ... steps cancels
+share, requires: its Romberg table over runs at 2, 4, 8, ... steps cancels
 the even error terms dt^2, dt^4, ... one more per run.  No substep runs
 backwards, as in higher-order compositions: a negative dephasing step would
 grow coherences by exp(+Gamma |dt| q^2 / 4).
@@ -78,7 +78,7 @@ _CHUNK = 8
 #: rotation.
 SQUEEZE_RESIDUAL_TOL = 1e-9
 
-#: Step ceiling of a frame segment: its last run has 4 * 2^11 steps.
+#: Step ceiling of a frame segment: its last run has 2 * 2^12 steps.
 _MAX_STEPS = 8192
 
 

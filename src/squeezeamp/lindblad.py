@@ -6,13 +6,14 @@ through sqrt(Gamma) a†a.  Both act on the oscillator only; the qubit is
 treated as noiseless during sideband pulses.
 
 Evolution uses a Strang split per step: an exact unitary half-step (the
-Hamiltonian propagator from an eigendecomposition), a classical 4th-order
-Runge-Kutta step of the dissipator, and a second unitary half-step.  The
-split is symmetric, so its error is even in dt, and `extrapolated_doubling`,
-the step controller shared with `frame`, builds a Romberg table over runs at
-4, 8, 16, ... steps: k runs cancel the error terms through dt^(2k-2).  A
-segment not converged at its step ceiling, or whose run is not finite,
-raises ConvergenceError.
+Hamiltonian propagator from an eigendecomposition, made once per segment),
+a classical 4th-order Runge-Kutta step of the dissipator, and a second
+unitary half-step.  The split is symmetric, so its error is even in dt, and
+`extrapolated_doubling`, the step controller shared with `frame`, builds a
+Romberg table over runs at 2, 4, 8, ... steps: k runs cancel the error
+terms through dt^(2k-2).  A segment not converged at its step ceiling,
+whose Romberg distance has stopped falling (its roundoff floor), or whose
+run is not finite, raises ConvergenceError.
 
 The dissipator costs O(N^2): a is bidiagonal, so the heating terms are
 shifted slices of rho with sqrt(n) weights, and dephasing is elementwise.
@@ -175,11 +176,13 @@ def _dissipator(rho, ops):
     return out
 
 
-def _strang_run(rho, H, ops, t, n_steps):
-    """n_steps Strang steps; adjacent unitary half-steps merge into one."""
+def _strang_run(rho, eig, ops, t, n_steps):
+    """n_steps Strang steps under the Hamiltonian of eigendecomposition
+    `eig` = (w, v), or none; adjacent unitary half-steps merge into one."""
     dt = t / n_steps
-    if H is not None:
-        u_half = fock.hermitian_propagator(H, 0.5 * dt)
+    if eig is not None:
+        w, v = eig
+        u_half = (v * np.exp(-1j * w * (0.5 * dt))) @ v.conj().T
         u_full = u_half @ u_half
         rho = u_half @ rho @ u_half.conj().T
     for step in range(n_steps):
@@ -188,7 +191,7 @@ def _strang_run(rho, H, ops, t, n_steps):
         k3 = _dissipator(rho + 0.5 * dt * k2, ops)
         k4 = _dissipator(rho + dt * k3, ops)
         rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if H is not None:
+        if eig is not None:
             u = u_full if step < n_steps - 1 else u_half
             rho = u @ rho @ u.conj().T
     return rho
@@ -202,8 +205,10 @@ def trace_distance(m1, m2):
 #: The step policy of both noisy engines: a segment converges once two Romberg
 #: rows' tops lie within trace distance _TOL, its first run has _MIN_STEPS
 #: steps, and a dense segment fails past max(16, ceil(t / 1 us)) * 2^_MAX_DOUBLINGS.
+#: From 4 steps, most benchmark segments passed their first test at distances
+#: of 1e-9 to 1e-17; from 1, displace segments pass at 5e-8, next to _TOL.
 _TOL = 1e-7
-_MIN_STEPS = 4
+_MIN_STEPS = 2
 _MAX_DOUBLINGS = 10
 
 
@@ -217,12 +222,16 @@ def extrapolated_doubling(run, max_steps, engine, kind=None):
     ..., dt^(2k-2) (Hairer, Lubich & Wanner, Geometric Numerical Integration,
     II.4).  From the third run on, the new row's top entry is returned once
     its trace distance to the previous row's top entry is below `_TOL`; else
-    ConvergenceError follows the first run of >= `max_steps` steps, or any
-    run whose matrix is not finite.  Success logs one DEBUG record whose
-    attributes `engine`, `kind`, `steps` (every run) and `distance` say how.
+    ConvergenceError follows the first run of >= `max_steps` steps, any run
+    whose matrix is not finite, or, below the ceiling, the second run in a
+    row whose distance is no smaller than the least so far: roundoff then
+    outweighs the step error, and `_TOL` lies below that floor.  Success
+    logs one DEBUG record whose attributes `engine`, `kind`, `steps` (every
+    run) and `distance` say how.
     """
     name = f"{engine} {kind or 'segment'}"
     steps, row = [_MIN_STEPS], []
+    floor, stalls = math.inf, 0
     while True:
         with np.errstate(over="ignore", invalid="ignore"):
             new_row = [run(steps[-1])]
@@ -237,8 +246,14 @@ def extrapolated_doubling(run, max_steps, engine, kind=None):
                 _log.debug("%s converged, steps %s, distance %.3g", name,
                            "/".join(map(str, steps)), distance, extra=record)
                 return new_row[-1]
+            stalls = stalls + 1 if distance >= floor else 0
+            floor = min(floor, distance)
         if steps[-1] >= max_steps:
             raise ConvergenceError(f"{name} not converged after {steps[-1]} steps")
+        if stalls == 2:
+            raise ConvergenceError(
+                f"{name} not converged: its Romberg distance stopped falling at the "
+                f"roundoff floor {floor:.3g} by {steps[-1]} steps")
         row = new_row
         steps.append(2 * steps[-1])
 
@@ -263,7 +278,8 @@ def lindblad_evolve(rho, H, noise, t):
         return fock.DensityOperator(rho.space, u @ mat @ u.conj().T, rho.kind)
 
     ops = _noise_operators(rho.space.dim, rho.kind == "joint", noise)
-    out = extrapolated_doubling(lambda n: _strang_run(mat, H, ops, t, n),
+    eig = None if H is None else fock.hermitian_eigh(H)
+    out = extrapolated_doubling(lambda n: _strang_run(mat, eig, ops, t, n),
                                 max(16, math.ceil(t / 1e-6)) * 2**_MAX_DOUBLINGS, "dense")
     return fock.DensityOperator(rho.space, out, rho.kind)
 

@@ -73,14 +73,32 @@ def bsb_signal(populations, omega, gamma, times):
 _F_ALPHA_MAX_TERMS = 1_000_000
 
 
+def _half_pi_root_phase(n):
+    """cos(pi sqrt(n)/2) and sin(pi sqrt(n)/2) at the integers `n` >= 0.
+
+    With q = floor(sqrt(n)), sqrt(n) = q + t for t = (n - q^2)/(sqrt(n) + q),
+    whose numerator is an exact integer, so the phase carries the rounding
+    of t < 1, not that of sqrt(n), which grows like sqrt(n) ulp.  The turn by
+    pi q/2 is exact.  q is exact below n ~ 4.5e15.
+    """
+    n = np.asarray(n, dtype=float)
+    root = np.sqrt(n)
+    q = np.floor(root)
+    t = (n - q * q) / np.maximum(root + q, 1.0)  # at n = 0: 0 / 1
+    cos_t, sin_t = np.cos(0.5 * math.pi * t), np.sin(0.5 * math.pi * t)
+    quarter = q.astype(int) % 4
+    cos_q, sin_q = np.array([1, 0, -1, 0])[quarter], np.array([0, 1, 0, -1])[quarter]
+    return cos_q * cos_t - sin_q * sin_t, sin_q * cos_t + cos_q * sin_t
+
+
 def _rsb_pi_weights(n):
     """cos^2(pi sqrt(n)/2) and cos(pi sqrt(n)/2) sin(pi sqrt(n+1)/2) at the levels `n`.
 
     At any Rabi rate an RSB pi-pulse maps |down,n> to
     cos(pi sqrt(n)/2)|down,n> - i sin(pi sqrt(n)/2)|up,n-1>.
     """
-    cos_n = np.cos(0.5 * math.pi * np.sqrt(n))
-    return cos_n**2, cos_n * np.sin(0.5 * math.pi * np.sqrt(n + 1))
+    cos_n = _half_pi_root_phase(n)[0]
+    return cos_n**2, cos_n * _half_pi_root_phase(n + 1)[1]
 
 
 #: Levels `f_alpha`'s window reaches past |a|^2 + 10 sqrt(|a|^2 + 1): they hold the heavy

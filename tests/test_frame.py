@@ -405,6 +405,18 @@ class TestExtrapolatedDoubling:
         assert trace_distance(got, tight) <= 1e-8
         assert trace_distance(got, tight) < trace_distance(loose, tight)
 
+    def test_sequence_near_tight_run(self, monkeypatch):
+        # the noisy-sensitivity sequence at 2 us, its first convergence test
+        # after 2, 4 and 8 steps per segment
+        def run():
+            return amplify_with_noise(0.005, G * 2e-6, SENSITIVITY_NOISE, G,
+                                      frame_space=FockSpace(16)).rho
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lindblad, "_TOL", 1e-10)
+            tight = run()
+        assert trace_distance(run(), tight) <= 1e-9
+
     def test_extrapolation_is_fourth_order(self):
         # Strang steps are symmetric, so the error is even in dt and one
         # extrapolation leaves dt^4: its distances fall 2^4 per doubling
@@ -439,8 +451,8 @@ class TestExtrapolatedDoubling:
         assert 48 < d[0] / d[1] < 80
 
     @pytest.mark.parametrize("max_doublings, expect", [
-        (3, [4, 8, 16, 32]),
-        (5, [4, 8, 16, 32, 64, 128]),
+        (3, [2, 4, 8, 16, 32]),
+        (5, [2, 4, 8, 16, 32, 64, 128]),
     ])
     def test_too_tight_tol_raises_at_the_last_level(self, max_doublings, expect,
                                                     monkeypatch):
@@ -460,8 +472,9 @@ class TestExtrapolatedDoubling:
         seq = amplification_sequence(0.005, G * 2e-6, G, 5e-6)
         with caplog.at_level(logging.DEBUG, logger=lindblad.__name__):
             run_gaussian_sequence_frame(seq, SENSITIVITY_NOISE, space=FockSpace(12))
-        # a segment's runs start again at lindblad._MIN_STEPS = 4
-        starts = [i for i, n in enumerate(runs.log) if n == 4] + [len(runs.log)]
+        # a segment's runs start again at lindblad._MIN_STEPS
+        starts = [i for i, n in enumerate(runs.log) if n == lindblad._MIN_STEPS]
+        starts.append(len(runs.log))
         per_segment = [runs.log[i:j] for i, j in zip(starts, starts[1:])]
         records = [r for r in caplog.records if r.name == lindblad.__name__]
         assert len(records) == len(per_segment) == len(seq.segments)

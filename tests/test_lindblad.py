@@ -17,7 +17,7 @@ from squeezeamp import (
 )
 from squeezeamp import lindblad
 from squeezeamp.errors import ConfigError, ConvergenceError, TruncationError
-from squeezeamp.fock import DensityOperator, hermitian_propagator
+from squeezeamp.fock import DensityOperator, hermitian_eigh, hermitian_propagator
 from squeezeamp.lindblad import (
     MOTIONAL_KINDS,
     NoiseParams,
@@ -357,11 +357,12 @@ def _plain_doubling_evolve(rho, H, noise, t, tol=1e-7):
     """Plain Strang doubling from max(16, ceil(t / 1 us)) steps, accepting the
     finer of two runs that agree within `tol` (oracle for lindblad_evolve)."""
     ops = _noise_operators(rho.space.dim, rho.kind == "joint", noise)
+    eig = None if H is None else hermitian_eigh(H)
     n_steps = max(16, math.ceil(t / 1e-6))
-    coarse = _strang_run(rho.matrix, H, ops, t, n_steps)
+    coarse = _strang_run(rho.matrix, eig, ops, t, n_steps)
     for _ in range(10):
         n_steps *= 2
-        fine = _strang_run(rho.matrix, H, ops, t, n_steps)
+        fine = _strang_run(rho.matrix, eig, ops, t, n_steps)
         if trace_distance(coarse, fine) < tol:
             return DensityOperator(rho.space, fine, rho.kind)
         coarse = fine
@@ -374,9 +375,9 @@ class _RecordedStrang:
     def __init__(self):
         self.log = []
 
-    def __call__(self, rho, H, ops, t, n_steps):
+    def __call__(self, rho, eig, ops, t, n_steps):
         self.log.append(n_steps)
-        return _strang_run(rho, H, ops, t, n_steps)
+        return _strang_run(rho, eig, ops, t, n_steps)
 
 
 def _squeeze_block(dim, t=2e-6):
@@ -402,10 +403,10 @@ class TestRombergTable:
             got = extrapolated_doubling(_synthetic_run, 4096, "synthetic")
         (record,) = [r for r in caplog.records if r.name == lindblad.__name__]
         # four runs cancel dt^2 ... dt^6; the fifth confirms it
-        assert record.steps == (4, 8, 16, 32, 64)
+        assert record.steps == (2, 4, 8, 16, 32)
         assert np.max(np.abs(got - SYNTHETIC_LIMIT)) <= 1e-13
         # one Richardson level over the same last pair leaves the dt^4 term
-        one_level = (4 * _synthetic_run(64) - _synthetic_run(32)) / 3
+        one_level = (4 * _synthetic_run(32) - _synthetic_run(16)) / 3
         assert np.max(np.abs(one_level - SYNTHETIC_LIMIT)) > 1e-7
 
     def test_non_finite_run_raises_at_once_without_warnings(self):
@@ -413,15 +414,33 @@ class TestRombergTable:
 
         def run(n_steps):
             log.append(n_steps)
-            # overflows to inf, then inf - inf = nan, from 16 steps on
-            scale = np.exp(np.float64(n_steps * 50.0))
+            # overflows to inf, then inf - inf = nan, from 8 steps on
+            scale = np.exp(np.float64(n_steps * 100.0))
             return _synthetic_run(n_steps) * scale - _synthetic_run(n_steps) * scale
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ConvergenceError, match="frame parametric run of 16 steps"):
+            with pytest.raises(ConvergenceError, match="frame parametric run of 8 steps"):
                 extrapolated_doubling(run, 4096, "frame", "parametric")
-        assert log == [4, 8, 16]
+        assert log == [2, 4, 8]
+
+    def test_stops_at_a_roundoff_floor(self, monkeypatch):
+        log = []
+
+        def run(n_steps):
+            log.append(n_steps)
+            # a noise of +-1e-12, alternating from run to run, that no number of steps removes
+            sign = (-1) ** len(log)
+            return _synthetic_run(n_steps) + sign * 1e-12 * np.diag([1.0, -1.0, 0.0])
+
+        monkeypatch.setattr(lindblad, "_TOL", 1e-14)
+        with pytest.raises(ConvergenceError, match="roundoff floor") as error:
+            extrapolated_doubling(run, 4096, "frame", "parametric")
+        floor = float(str(error.value).split("floor ")[1].split()[0])
+        assert 1e-12 < floor < 1e-11
+        # 2, 4, 8, 16 steps cancel the run's error terms; the distances after
+        # 32, 64 and 128 steps then stay at the floor, far below the ceiling
+        assert log == [2, 4, 8, 16, 32, 64, 128]
 
     def test_nan_run_raises_at_once(self):
         log = []
@@ -433,7 +452,7 @@ class TestRombergTable:
 
         with pytest.raises(ConvergenceError, match="frame displace run of 8 steps is not finite"):
             extrapolated_doubling(run, 4096, "frame", "displace")
-        assert log == [4, 8]
+        assert log == [2, 4, 8]
 
 
 class TestExtrapolatedDoubling:
@@ -442,7 +461,8 @@ class TestExtrapolatedDoubling:
         # is even in dt and one extrapolation leaves dt^4
         rho, H = _squeeze_block(24)
         ops = _noise_operators(24, False, NoiseParams())
-        runs = [_strang_run(rho.matrix, H, ops, 2e-6, 4 * 2**k) for k in range(4)]
+        runs = [_strang_run(rho.matrix, hermitian_eigh(H), ops, 2e-6, 4 * 2**k)
+                for k in range(4)]
         extrapolated = [(4 * fine - coarse) / 3 for coarse, fine in zip(runs, runs[1:])]
         d = [trace_distance(a, b) for a, b in zip(extrapolated, extrapolated[1:])]
         assert 12 < d[0] / d[1] < 20
@@ -460,9 +480,8 @@ class TestExtrapolatedDoubling:
         assert trace_distance(got, tight) < trace_distance(plain, tight)
 
     @pytest.mark.parametrize("t, max_doublings, expect", [
-        (2e-6, 2, [4, 8, 16, 32, 64]),  # ceiling 16 * 2^2
-        (40e-6, 1, [4, 8, 16, 32, 64, 128]),  # ceiling 40 * 2, passed at 128
-        (2e-6, 10, [4 * 2**k for k in range(13)]),  # the default, 16 * 2^10
+        (2e-6, 2, [2, 4, 8, 16, 32, 64]),  # ceiling 16 * 2^2
+        (40e-6, 1, [2, 4, 8, 16, 32, 64, 128]),  # ceiling 40 * 2, passed at 128
     ])
     def test_too_tight_tol_raises_at_the_ceiling(self, t, max_doublings, expect,
                                                  monkeypatch):
@@ -476,6 +495,18 @@ class TestExtrapolatedDoubling:
         # each run feeds two extrapolations, so no step count is run twice
         assert runs.log == expect
 
+    def test_too_tight_tol_stops_at_the_roundoff_floor(self, monkeypatch):
+        # at the default ceiling, 16 * 2^10 steps, a dense run's Romberg
+        # distance stops falling long before it
+        runs = _RecordedStrang()
+        monkeypatch.setattr(lindblad, "_strang_run", runs)
+        monkeypatch.setattr(lindblad, "_TOL", 1e-30)
+        rho, H = _squeeze_block(6)
+        with pytest.raises(ConvergenceError, match="roundoff floor"):
+            lindblad_evolve(rho, H, NoiseParams(), 2e-6)
+        assert runs.log == [2 * 2**k for k in range(len(runs.log))]
+        assert runs.log[-1] <= 1024
+
     def test_logs_one_debug_record(self, caplog, monkeypatch):
         runs = _RecordedStrang()
         monkeypatch.setattr(lindblad, "_strang_run", runs)
@@ -487,7 +518,7 @@ class TestExtrapolatedDoubling:
         record = records[0]
         assert record.levelno == logging.DEBUG
         assert (record.engine, record.kind) == ("dense", None)
-        assert record.steps == tuple(runs.log) and runs.log[0] == 4
+        assert record.steps == tuple(runs.log) and runs.log[0] == lindblad._MIN_STEPS
         assert record.distance < 1e-7
         message = record.getMessage()
         assert message.startswith("dense segment converged")

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -35,6 +36,7 @@ def poisson_weights(n, mean):
     return np.concatenate([down, [1.0], up])
 
 
+@functools.cache
 def forty_digit_f_alpha(a, levels):
     """f(|a|) summed over `levels` with 40-digit Poisson weights and phases."""
     mpmath = pytest.importorskip("mpmath")
@@ -191,14 +193,26 @@ class TestFAlpha:
         assert f_alpha(a) == pytest.approx(full, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("a, bound", [(0.3, 1e-13), (5.0, 1e-13), (30.0, 1e-13),
-                                          (100.0, 2e-12), (300.0, 1e-11)])
+                                          (100.0, 2e-12), (300.0, 1e-11),
+                                          (29.0, 1e-14), (50.0, 1e-14), (300.0, 5e-13)])
     def test_matches_a_40_digit_sum(self, a, bound):
-        # the same window, summed with 40-digit Poisson weights and phases
+        # the same window, summed with 40-digit Poisson weights and phases;
+        # phases from a rounded sqrt(n) erred by 5.6e-14, 1.2e-13 and 4.2e-12
+        # at |a| = 29, 50 and 300
         half = 10 * math.sqrt(a * a + 1)
         lo = max(0, math.floor(a * a - half))
         hi = max(30, math.ceil(a * a + half)) + _F_ALPHA_TOP_MARGIN
         want = float(forty_digit_f_alpha(a, range(lo, hi)))
         assert abs(f_alpha(a) - want) <= bound * abs(want)
+
+    def test_pi_weights_at_the_lowest_levels(self):
+        # n = 0 and the perfect squares, where the reduced phase is 0
+        stay, coherence = _rsb_pi_weights(np.array([0, 1, 3, 4, 8, 9, 15, 16]))
+        root = np.sqrt([0, 1, 3, 4, 8, 9, 15, 16])
+        assert np.all(np.isfinite(stay)) and np.all(np.isfinite(coherence))
+        assert stay[[0, 1, 3, 5, 7]].tolist() == [1.0, 0.0, 1.0, 0.0, 1.0]
+        want = np.cos(0.5 * math.pi * root) * np.sin(0.5 * math.pi * np.sqrt(root**2 + 1))
+        assert np.max(np.abs(coherence - want)) <= 1e-15
 
     @pytest.mark.parametrize("a", [2.26, 2.272])
     def test_keeps_the_heavy_upper_tail(self, a):
