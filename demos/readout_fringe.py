@@ -12,23 +12,24 @@ import math
 
 import numpy as np
 
-from squeezeamp import FockSpace
+from squeezeamp import DensityOperator, Displacement, FockSpace, coherent_state
 from squeezeamp.spinmotion import (
     f_alpha,
     psrsb_contrast,
-    psrsb_exact_pdown,
+    psrsb_fringe_density,
     psrsb_pdown_series,
 )
 
 
 def main():
     alpha = 0.4
-    print(f"fringe for |alpha| = {alpha}: series formula vs full matrix path")
-    print(" phi/pi    series      matrix")
-    space = FockSpace(48)
-    for phi in np.linspace(0, 2 * math.pi, 9):
+    print(f"fringe for |alpha| = {alpha}: series formula vs the coherent state's")
+    print("density-operator readout on 48 Fock levels")
+    print(" phi/pi    series     density")
+    rho = DensityOperator.from_motional(coherent_state(Displacement(alpha), FockSpace(48)))
+    phis = np.linspace(0, 2 * math.pi, 9)
+    for phi, m in zip(phis, psrsb_fringe_density(rho, phis)):
         s = psrsb_pdown_series(alpha, phi)
-        m = psrsb_exact_pdown(alpha, phi, space)
         print(f"{phi / math.pi:6.2f}  {s:10.6f}  {m:10.6f}")
 
     print()

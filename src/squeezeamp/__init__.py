@@ -13,25 +13,18 @@ from .fock import (
     fock_state,
     vacuum,
     ladder_lowering,
-    ladder_raising,
     number_operator,
-    expectation,
     fidelity,
-    default_truncation,
 )
 from .gaussian import (
     Displacement,
     SqueezeParam,
     displacement_operator,
-    squeeze_operator,
     coherent_state,
     squeezed_vacuum,
     displaced_squeezed_populations,
-    displaced_squeezed_state,
     amplify_displacement,
     squeeze_db,
-    db_to_r,
-    gain,
 )
 from .lindblad import NoiseParams, PulseSequence, Segment, run_sequence
 from .frame import amplification_sequence, amplify_with_noise

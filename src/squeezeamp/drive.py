@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from . import fock, gaussian
+from . import fock
 from .errors import ConvergenceError
 from .gaussian import FrameMap
 
@@ -50,10 +50,6 @@ class DriveParams:
             raise ValueError("omega_r must be positive")
         if self.g < 0:
             raise ValueError("g must be >= 0")
-
-    @property
-    def r_ideal(self):
-        return self.g * self.duration
 
 
 def hamiltonian_lab(p, t, space):
@@ -124,10 +120,3 @@ def simulate_full_vs_rwa(p, steps_per_period=64):
             f"(increase steps_per_period={steps_per_period})"
         )
     return f_fine, math.asinh(fine.squeeze_magnitude)
-
-
-def squeezing_rate_db_per_us(g):
-    """Squeezing rate in dB per microsecond for coupling strength g (rad/s)."""
-    if g < 0:
-        raise ValueError("g must be >= 0")
-    return gaussian.squeeze_db(g * 1e-6)

@@ -32,10 +32,6 @@ EXPERIMENT_IDS = {
     "phase_scan": 2,
     "squeeze_phase_scan": 3,
     "contrast_alpha": 4,
-    "sensitivity": 5,
-    "unitarity": 6,
-    "rwa_check": 7,
-    "simulate": 8,
 }
 
 #: Flat config keys with units encoded in the names.
@@ -69,11 +65,13 @@ CONFIG_DEFAULTS = {
 _INT_KEYS = {"shots", "seed", "frame_truncation", "lab_truncation", "phi_points",
              "theta_points", "trace_points"}
 _LIST_KEYS = {"squeeze_r_list", "squeeze_durations_us", "alpha_list", "rwa_ratio_list"}
-# what the sweeps need: rates to divide by, counts, rates and durations >= 0,
-# and enough points (or list entries)
-_POSITIVE_KEYS = {"omega_r_mhz", "g_khz", "omega_sb_khz", "rwa_ratio_list"}
+# what the sweeps need: rates and steps to divide by, counts, rates, durations
+# and probabilities >= 0, and enough points (or list entries)
+_POSITIVE_KEYS = {"omega_r_mhz", "g_khz", "omega_sb_khz", "rwa_ratio_list", "rwa_gt",
+                  "trace_dt_us"}
 _NON_NEGATIVE_KEYS = _INT_KEYS | {"heating_quanta_per_s", "dephasing_per_s", "bsb_decay_per_s",
-                                  "displace_duration_us", "squeeze_durations_us"}
+                                  "displace_duration_us", "squeeze_durations_us",
+                                  "preparation_background"}
 _MIN_POINTS = {"trace_points": 1, "theta_points": 1, "phi_points": 8,
                "squeeze_durations_us": 1, "alpha_list": 2, "squeeze_r_list": 1,
                "rwa_ratio_list": 1}
@@ -263,8 +261,8 @@ def _contrast(cfg, alpha_i, r, theta=0.0):
     """PSRSB fringe contrast after amplification: 2|alpha_f| f(|alpha_f|)
     without noise, else 2|tr rho_ud| of the noisy lab density."""
     if cfg.noiseless:
-        alpha_f = abs(gaussian.amplify_displacement(alpha_i, gaussian.SqueezeParam(r, theta)))
-        return 2.0 * alpha_f * spinmotion.f_alpha(alpha_f)
+        return spinmotion.psrsb_contrast(
+            gaussian.amplify_displacement(alpha_i, gaussian.SqueezeParam(r, theta)))
     _, t_ud = spinmotion.rsb_readout(_amplified_density(cfg, alpha_i, r, theta))
     return 2.0 * abs(t_ud)
 
@@ -471,6 +469,9 @@ def run_contrast_vs_alpha(cfg):
 def run_sensitivity_curve(cfg):
     """Sensitivity enhancement in dB versus squeeze duration."""
     alpha = cfg["sensitivity_alpha"]
+    if alpha == 0:
+        raise ConfigError("sensitivity curve needs sensitivity_alpha != 0",
+                          key="sensitivity_alpha")
     c_ref = _contrast(cfg, alpha, 0.0)
     shots = cfg["shots"] if cfg["shots"] else 10**9
     rows = []
@@ -499,6 +500,9 @@ def run_sensitivity_curve(cfg):
 def run_unitarity_check(cfg):
     """Ground-state return after squeeze then anti-squeeze, with and without noise."""
     background = cfg["preparation_background"]
+    if background > 1:
+        raise ConfigError("preparation_background is a probability: it must be <= 1",
+                          key="preparation_background")
     rows = []
     for duration_us in cfg["squeeze_durations_us"]:
         r = cfg.g * duration_us * 1e-6

@@ -137,17 +137,6 @@ class FitResult:
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
-    @classmethod
-    def from_json(cls, text):
-        payload = json.loads(text)
-        if payload.get("schema_version") != SCHEMA_VERSION:
-            raise ValueError("unsupported fit-result schema version")
-        names = tuple(payload["param_order"])
-        params = np.array([payload["params"][n] for n in names])
-        k = len(names)
-        cov = np.array(payload["covariance_row_major"], dtype=float).reshape(k, k)
-        return cls(payload["model_tag"], names, params, cov, payload["residual_norm"])
-
 
 def nyquist_check(times, omega, nmax):
     """Reject sampling too coarse for the fastest component Omega sqrt(nmax+1)."""

@@ -6,7 +6,6 @@ hbar = 1 and all Hamiltonians are in angular-frequency units (rad/s).
 """
 
 from dataclasses import dataclass, field
-import math
 
 import numpy as np
 
@@ -36,25 +35,9 @@ def ladder_lowering(space):
     return np.diag(np.sqrt(n).astype(complex), k=1)
 
 
-def ladder_raising(space):
-    """Creation operator a† (conjugate transpose of the lowering operator)."""
-    return ladder_lowering(space).conj().T
-
-
 def number_operator(space):
     """Number operator n = a†a = diag(0, 1, ..., dim-1)."""
     return np.diag(np.arange(space.dim).astype(complex))
-
-
-def default_truncation(r=0.0, alpha_abs=0.0):
-    """Fock-space size adequate for squeezing r and displacement |alpha|.
-
-    Sized so the long even-n tail of a squeezed vacuum (mean phonon number
-    sinh^2 r) is comfortably inside the basis; the tail monitor remains the
-    hard check.
-    """
-    need = 8.0 * math.sinh(r) ** 2 + 8.0 * alpha_abs**2 + 40.0
-    return max(64, int(math.ceil(need)))
 
 
 def _checked_tail(tail, eps, dim):
@@ -80,21 +63,6 @@ class MotionalState:
                 f"amplitude vector of length {amps.shape} does not match dim {self.space.dim}"
             )
         object.__setattr__(self, "amps", amps)
-
-    @classmethod
-    def normalized(cls, space, amps):
-        amps = np.asarray(amps, dtype=complex)
-        nrm = np.linalg.norm(amps)
-        if nrm == 0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(space, amps / nrm)
-
-    @property
-    def norm(self):
-        return float(np.linalg.norm(self.amps))
-
-    def population(self, n):
-        return float(abs(self.amps[n]) ** 2)
 
     def populations(self):
         return np.abs(self.amps) ** 2
@@ -146,12 +114,6 @@ class DensityOperator:
     def trace(self):
         return complex(np.trace(self.matrix))
 
-    def hermiticity_defect(self):
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-
-    def min_eigenvalue(self):
-        return float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T)).min())
-
     def motional_populations(self):
         """Fock populations, tracing out the qubit if present."""
         d = self.space.dim
@@ -160,28 +122,12 @@ class DensityOperator:
             return diag[:d] + diag[d:]
         return diag.copy()
 
-    def expectation_value(self, op):
-        if op.shape != self.matrix.shape:
-            raise DimensionMismatchError("operator does not match density-matrix shape")
-        return complex(np.trace(op @ self.matrix))
-
     def tail_mass(self, levels=TAIL_LEVELS):
         pops = self.motional_populations()
         return float(np.sum(pops[-levels:]))
 
     def check_tail(self, eps=DEFAULT_TAIL_EPS):
         return _checked_tail(self.tail_mass(), eps, self.space.dim)
-
-
-def expectation(state, op):
-    """<psi|op|psi> for a pure state (MotionalState or raw vector)."""
-    amps = state if isinstance(state, np.ndarray) else state.amps
-    op = np.asarray(op)
-    if op.shape != (amps.size, amps.size):
-        raise DimensionMismatchError(
-            f"operator shape {op.shape} does not match state of length {amps.size}"
-        )
-    return complex(amps.conj() @ (op @ amps))
 
 
 def fidelity(a, b):

@@ -1,4 +1,4 @@
-"""Displacement and squeezing operators, the affine Bogoliubov map they
+"""Displacement and squeeze parameters, the affine Bogoliubov map they
 generate, analytic state constructors, and the noiseless amplification
 identity S†(ξ) D(α_i) S(ξ) = D(α_f).
 
@@ -12,8 +12,10 @@ Every Gaussian unitary here acts on the ladder operator as one `FrameMap`
 a -> μ a + ν a† + c (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)); the
 frame engine, the drive check, the gain law and the pure states use it.
 
-Analytic constructors are the production path; matrix exponentials (built
-from the same ladder operators) are kept as the independent test oracle.
+Analytic constructors are the production path.  The one dense unitary here,
+`displacement_operator`, serves `frame.FrameResult.lab_density`; the dense
+squeeze operator and the matrix-exponential D(α) S(ξ)|0> are the tests'
+independent oracles (`tests/oracles.py`).
 """
 
 from dataclasses import dataclass
@@ -53,10 +55,6 @@ class SqueezeParam:
     @property
     def xi(self):
         return self.r * cmath.exp(1j * self.theta)
-
-    @classmethod
-    def from_xi(cls, xi):
-        return cls(abs(xi), cmath.phase(xi) % (2 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -182,14 +180,6 @@ def displacement_operator(d, space):
     return fock.hermitian_propagator(1j * K, 1.0)
 
 
-def squeeze_operator(xi, space):
-    """Dense matrix of S(ξ) on the truncated space."""
-    a = fock.ladder_lowering(space)
-    a2 = a @ a
-    K = 0.5 * (np.conj(xi.xi) * a2 - xi.xi * a2.conj().T)
-    return fock.hermitian_propagator(1j * K, 1.0)
-
-
 def _state(space, amps, check_tail):
     state = fock.MotionalState(space, amps)
     if check_tail:
@@ -230,12 +220,6 @@ def displaced_squeezed_populations(d, xi, nmax, jac=False):
     return np.abs(amps) ** 2, 2.0 * (amps.conj()[:, None] * damps).real
 
 
-def displaced_squeezed_state(d, xi, space, check_tail=True):
-    """Matrix-product construction D(α) S(ξ)|0> (oracle route)."""
-    vacuum = squeezed_vacuum(xi, space, check_tail=False)
-    return _state(space, displacement_operator(d, space) @ vacuum.amps, check_tail)
-
-
 def amplify_displacement(alpha_i, xi):
     """Amplified amplitude α_f = α_i cosh r + α_i* e^{iθ} sinh r: the offset c
     of the squeeze, displace, anti-squeeze map S†(ξ) D(α_i) S(ξ)."""
@@ -244,34 +228,8 @@ def amplify_displacement(alpha_i, xi):
     return complex(squeeze.compose_local(FrameMap(c=alpha_i)).compose_local(anti).c)
 
 
-def gain(xi):
-    """Ideal gain e^r for a displacement aligned with the squeezed axis."""
-    return math.exp(xi.r)
-
-
-def adequate_truncation(xi, alpha_abs=0.0, eps=fock.DEFAULT_TAIL_EPS):
-    """Smallest convenient dimension whose truncation tail is below `eps`.
-
-    The heuristic default_truncation underestimates the slow even-n tail of
-    strongly squeezed states (decay per level is only e^{-1/cosh²r}), so grow
-    the dimension until the closed-form squeezed-vacuum tail, padded by a
-    displacement margin, passes the monitor.
-    """
-    n = fock.default_truncation(xi.r, alpha_abs)
-    while True:
-        margin = int(math.ceil(4 * alpha_abs**2 + 6 * alpha_abs * math.sqrt(n))) + 4
-        sv = squeezed_vacuum(xi, fock.FockSpace(n + margin), check_tail=False)
-        if np.sum(sv.populations()[n - fock.TAIL_LEVELS :]) < eps:
-            return n + margin
-        n = int(math.ceil(1.25 * n))
-
-
 def squeeze_db(r):
     """Squeezing level in decibels: 10 log10(e^{2r})."""
     if r < 0:
         raise ValueError("r must be >= 0")
     return 20.0 * math.log10(math.e) * r
-
-
-def db_to_r(db):
-    return db / (20.0 * math.log10(math.e))

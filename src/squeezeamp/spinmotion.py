@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from . import fock, gaussian
+from . import fock
 
 _SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |up><down|
 
@@ -141,22 +141,6 @@ def psrsb_pdown_series(alpha, phi):
     """Closed-form fringe 1/2 - |alpha| f(|alpha|) cos(phi)."""
     mag = abs(alpha)
     return 0.5 - mag * f_alpha(mag) * math.cos(phi)
-
-
-def psrsb_exact_pdown(alpha, phi, space, beatnote=0.0):
-    """Full matrix-path PSRSB readout: D(alpha)|down,0>, RSB pi-pulse, carrier.
-
-    `beatnote` is the relative phase between the displacement drive and the
-    sideband; 0 places the displacement along the sideband's in-phase axis,
-    where the fringe amplitude |alpha| f(|alpha|) is maximal.
-    """
-    mag = abs(alpha)
-    disp = gaussian.Displacement(mag * np.exp(1j * beatnote))
-    amps = np.zeros(2 * space.dim, dtype=complex)
-    amps[: space.dim] = gaussian.coherent_state(disp, space).amps
-    amps = u_sideband("rsb", 1.0, math.pi, 0.0, space) @ amps
-    amps = u_sideband("carrier", 1.0, 0.5 * math.pi, phi, space) @ amps
-    return float(np.sum(np.abs(amps[: space.dim]) ** 2))
 
 
 def psrsb_contrast(alpha):

@@ -281,6 +281,13 @@ class TestErrorHandling:
         # the noisy lab density holds the frame state (frame_truncation 48);
         # the second line turns the noise back on
         ("sensitivity", "lab_truncation", "16\nheating_quanta_per_s = 20"),
+        ("rwa-check", "rwa_gt", "0"),
+        ("gain-curve", "trace_dt_us", "0"),
+        # the reference contrast of a zero displacement is 0
+        ("sensitivity", "sensitivity_alpha", "0"),
+        # a probability: p_down would read 1 - background < 0, or > 1
+        ("unitarity", "preparation_background", "1.5"),
+        ("unitarity", "preparation_background", "-0.5"),
     ])
     def test_unusable_sweep_key_is_config_error(self, tmp_path, capsys, command, key,
                                                 value):

@@ -22,3 +22,13 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start():
+    # the quick start is documented API: it must run and give its numbers
+    text = (ROOT / "README.md").read_text()
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert abs(namespace["alpha_f"]) == pytest.approx(1.9166, abs=5e-5)
+    assert abs(namespace["res"].mean_lowering) == pytest.approx(1.91645, abs=5e-6)

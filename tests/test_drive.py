@@ -3,14 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from squeezeamp import FockSpace, SqueezeParam, fidelity, squeezed_vacuum, vacuum
+from squeezeamp import FockSpace, SqueezeParam, fidelity, squeeze_db, squeezed_vacuum, vacuum
 from squeezeamp import fock
-from squeezeamp.drive import (
-    DriveParams,
-    hamiltonian_lab,
-    simulate_full_vs_rwa,
-    squeezing_rate_db_per_us,
-)
+from squeezeamp.drive import DriveParams, hamiltonian_lab, simulate_full_vs_rwa
 from squeezeamp.errors import ConvergenceError
 
 WR = 2 * math.pi * 6.3e6  # paper's radial mode frequency
@@ -166,13 +161,6 @@ class TestFullVsRwa:
 
 
 class TestSqueezingRate:
-    def test_zero(self):
-        assert squeezing_rate_db_per_us(0.0) == 0.0
-
     def test_paper_value(self):
-        assert squeezing_rate_db_per_us(G) == pytest.approx(2.74, abs=0.02)
-
-    def test_linearity(self):
-        assert squeezing_rate_db_per_us(2 * G) == pytest.approx(
-            2 * squeezing_rate_db_per_us(G), rel=1e-12
-        )
+        # r = g t, so the rate in dB per microsecond is the level at r = g * 1 us
+        assert squeeze_db(G * 1e-6) == pytest.approx(2.74, abs=0.02)

@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 
@@ -91,11 +92,12 @@ class TestFitResultSerialization:
         res = FitResult(
             "coherent", ("alpha", "omega"), [0.2, OM], np.diag([1e-4, 1.0]), 0.5
         )
-        res2 = FitResult.from_json(res.to_json())
-        assert res2.model_tag == "coherent"
-        assert res2.param("alpha") == 0.2
-        assert res2.error("alpha") == pytest.approx(1e-2)
-        assert np.allclose(res2.covariance, res.covariance)
+        payload = json.loads(res.to_json())
+        assert payload["model_tag"] == "coherent"
+        assert payload["params"]["alpha"] == 0.2
+        assert payload["stderr"]["alpha"] == pytest.approx(1e-2)
+        cov = np.reshape(payload["covariance_row_major"], (2, 2))
+        assert np.allclose(cov, res.covariance)
 
     def test_stderr_is_sqrt_diagonal(self):
         res = FitResult("sinusoid", ("b", "a"), [0.5, 0.1], np.diag([4e-6, 9e-6]), 0.0)

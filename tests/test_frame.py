@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from oracles import psrsb_exact_pdown
 from squeezeamp import (
     Displacement,
     FockSpace,
@@ -129,8 +130,6 @@ class TestDensityFringe:
         rho = DensityOperator.from_motional(coherent_state(Displacement(0.3), sp))
         phis = np.array([0.0, 0.7, math.pi / 2, math.pi])
         fringe = psrsb_fringe_density(rho, phis)
-        from squeezeamp.spinmotion import psrsb_exact_pdown
-
         for phi, val in zip(phis, fringe):
             assert val == pytest.approx(psrsb_exact_pdown(0.3, phi, sp), abs=1e-10)
 

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import psrsb_exact_pdown
 from squeezeamp import Displacement, FockSpace, SqueezeParam, coherent_state, squeezed_vacuum
 from squeezeamp.fock import DensityOperator
 from squeezeamp.spinmotion import (
@@ -13,7 +14,6 @@ from squeezeamp.spinmotion import (
     bsb_signal,
     f_alpha,
     psrsb_contrast,
-    psrsb_exact_pdown,
     psrsb_fringe_density,
     psrsb_pdown_series,
     rsb_readout,
